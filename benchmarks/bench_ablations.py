@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the PigPaxos design choices called out in DESIGN.md.
+"""Ablation benchmarks for the PigPaxos design choices.
 
 * Random relay rotation vs fixed relays (the paper argues rotation prevents
   relay hotspots).
@@ -15,13 +15,17 @@ import pytest
 from _common import SEED, comparison_table, duration, report, warmup
 from repro.bench.runner import ExperimentConfig, run_experiment
 from repro.cluster.faults import FaultSchedule
-from repro.core.config import PigPaxosConfig
+from repro.protocol.config import ProtocolConfig
 
 NINE_NODE_CLIENTS = 120
 
 
-def _run(config_kwargs, **experiment_kwargs):
-    protocol_config = PigPaxosConfig(**config_kwargs)
+def _run(relay_knobs, leader_retry_timeout=None, **experiment_kwargs):
+    """PigPaxos with 2 relay groups tuned by ``relay_knobs`` (OverlayConfig fields)."""
+    protocol_config = ProtocolConfig(
+        overlay={"kind": "relay", "num_groups": 2, **relay_knobs},
+        leader_retry_timeout=leader_retry_timeout,
+    )
     config = ExperimentConfig(
         protocol="pigpaxos",
         num_nodes=9,
@@ -38,8 +42,8 @@ def _run(config_kwargs, **experiment_kwargs):
 @pytest.mark.benchmark(group="ablations")
 def test_ablation_relay_rotation_vs_fixed_relays(benchmark):
     def _measure():
-        rotating = _run({"num_relay_groups": 2, "fixed_relays": False})
-        fixed = _run({"num_relay_groups": 2, "fixed_relays": True})
+        rotating = _run({"fixed_relays": False})
+        fixed = _run({"fixed_relays": True})
         return rotating, fixed
 
     rotating, fixed = benchmark.pedantic(_measure, rounds=1, iterations=1)
@@ -64,10 +68,8 @@ def test_ablation_relay_rotation_vs_fixed_relays(benchmark):
 def test_ablation_relay_timeout_with_sluggish_follower(benchmark):
     def _measure():
         schedule = FaultSchedule().sluggish(8, at=0.0, factor=50.0)
-        tight = _run({"num_relay_groups": 2, "relay_timeout": 0.01, "leader_retry_timeout": 0.1},
-                     fault_schedule=schedule)
-        loose = _run({"num_relay_groups": 2, "relay_timeout": 0.2, "leader_retry_timeout": 0.5},
-                     fault_schedule=schedule)
+        tight = _run({"relay_timeout": 0.01}, leader_retry_timeout=0.1, fault_schedule=schedule)
+        loose = _run({"relay_timeout": 0.2}, leader_retry_timeout=0.5, fault_schedule=schedule)
         return tight, loose
 
     tight, loose = benchmark.pedantic(_measure, rounds=1, iterations=1)
@@ -90,9 +92,8 @@ def test_ablation_relay_timeout_with_sluggish_follower(benchmark):
 def test_ablation_partial_response_collection(benchmark):
     def _measure():
         schedule = FaultSchedule().sluggish(8, at=0.0, factor=50.0)
-        wait_all = _run({"num_relay_groups": 2}, fault_schedule=schedule)
-        threshold = _run({"num_relay_groups": 2, "group_response_threshold": 0.75},
-                         fault_schedule=schedule)
+        wait_all = _run({}, fault_schedule=schedule)
+        threshold = _run({"group_response_threshold": 0.75}, fault_schedule=schedule)
         return wait_all, threshold
 
     wait_all, threshold = benchmark.pedantic(_measure, rounds=1, iterations=1)

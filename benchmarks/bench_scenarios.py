@@ -114,7 +114,7 @@ def _run_library():
                 "drops": int(counters.get("net.messages_dropped", 0)),
                 "dups": int(counters.get("net.messages_duplicated", 0)),
                 "relay_timeouts": int(
-                    counters.get("pigpaxos.relay_timeouts", 0)
+                    counters.get("paxos.relay_timeouts", 0)
                     + counters.get("epaxos.relay_timeouts", 0)
                 ),
                 "bottleneck_node": node,
@@ -562,7 +562,7 @@ def _bottleneck_scenario(variant: str, num_nodes: int) -> Scenario:
         name=f"bottleneck-{variant}-{num_nodes}",
         protocol="pigpaxos",
         use_region_groups=True,
-        config_overrides={"relay_levels": levels},
+        config_overrides={"overlay": {"kind": "relay", "relay_levels": levels}},
         **common,
     )
 

@@ -12,11 +12,13 @@ from __future__ import annotations
 import asyncio
 import time
 
+from repro.protocol.config import ProtocolConfig
 from repro.runtime import LocalCluster
 
 
 async def main() -> None:
-    async with LocalCluster(protocol="pigpaxos", num_nodes=5, relay_groups=2) as cluster:
+    config = ProtocolConfig(overlay={"kind": "relay", "num_groups": 2})
+    async with LocalCluster(protocol="pigpaxos", num_nodes=5, protocol_config=config) as cluster:
         leader = cluster.leader_id()
         print(f"Started 5 PigPaxos nodes on localhost; leader is node {leader}.\n")
 

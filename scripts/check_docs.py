@@ -5,6 +5,11 @@ Scans the repo's markdown files for relative links and verifies every
 target exists.  External links (http/https/mailto) and pure anchors are
 skipped; a ``path#anchor`` link is checked for the path only.
 
+Every ``NAME.md`` (or ``path/NAME.md``) cited in a ``.py`` or ``.md``
+file under the given paths must exist too -- relative to the repo root or
+to the citing file, or, for a bare name, anywhere in the repo -- so a
+comment cannot point readers at a document that is not there.
+
 Additionally cross-checks the "Static analysis" section of
 ``docs/ARCHITECTURE.md`` against the live ``repro.lint`` rule registry,
 in both directions: every registered rule id must be documented, and
@@ -13,6 +18,7 @@ every documented rule id must exist in the registry.
 Usage::
 
     python scripts/check_docs.py [file_or_dir ...]   # defaults to README.md docs/
+    python scripts/check_docs.py README.md docs src benchmarks   # what CI runs
 """
 
 from __future__ import annotations
@@ -29,16 +35,15 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 SKIP_PREFIXES = ("http://", "https://", "mailto:", "#")
 
 
-def markdown_files(arguments: list[str]) -> list[Path]:
-    if not arguments:
-        arguments = ["README.md", "docs"]
+def collect_files(arguments: list[str], suffixes: tuple[str, ...]) -> list[Path]:
     files: list[Path] = []
     for argument in arguments:
         path = (REPO_ROOT / argument).resolve()
         if path.is_dir():
-            files.extend(sorted(path.rglob("*.md")))
+            files.extend(sorted(p for p in path.rglob("*") if p.suffix in suffixes))
         elif path.exists():
-            files.append(path)
+            if path.suffix in suffixes:
+                files.append(path)
         else:
             print(f"error: no such file or directory: {argument}", file=sys.stderr)
             sys.exit(2)
@@ -58,6 +63,24 @@ def check_file(markdown: Path) -> list[str]:
         resolved = (markdown.parent / relative).resolve()
         if not resolved.exists():
             problems.append(f"{markdown.relative_to(REPO_ROOT)}: broken link -> {target}")
+    return problems
+
+
+#: A cited markdown document: ``NAME.md`` or ``dir/NAME.md``, not part of a
+#: longer path or URL (the look-behind rejects a preceding ``/`` or name).
+CITATION_RE = re.compile(r"(?<![\w/.-])((?:[\w.-]+/)*[\w-]+\.md)\b")
+
+
+def check_citations(source: Path, doc_names: set[str]) -> list[str]:
+    problems = []
+    for number, line in enumerate(source.read_text(encoding="utf-8").splitlines(), 1):
+        for cited in CITATION_RE.findall(line):
+            if cited in doc_names:
+                continue
+            if not ((REPO_ROOT / cited).exists() or (source.parent / cited).exists()):
+                problems.append(
+                    f"{source.relative_to(REPO_ROOT)}:{number}: cites missing {cited}"
+                )
     return problems
 
 
@@ -125,8 +148,12 @@ def check_lint_rule_docs() -> list[str]:
 
 
 def main(arguments: list[str]) -> int:
-    files = markdown_files(arguments)
+    arguments = arguments or ["README.md", "docs"]
+    files = collect_files(arguments, (".md",))
     problems = [problem for markdown in files for problem in check_file(markdown)]
+    doc_names = {p.name for p in REPO_ROOT.rglob("*.md") if ".git" not in p.parts}
+    for source in collect_files(arguments, (".md", ".py")):
+        problems.extend(check_citations(source, doc_names))
     problems.extend(check_lint_rule_docs())
     for problem in problems:
         print(problem, file=sys.stderr)

@@ -4,11 +4,14 @@ This package reproduces the system described in "PigPaxos: Devouring the
 Communication Bottlenecks in Distributed Consensus" (Charapko, Ailijiang,
 Demirbas, SIGMOD 2021).  It contains:
 
-* ``repro.core`` -- the PigPaxos protocol (the paper's contribution):
-  relay groups, per-round random relay selection, in-network aggregation,
-  relay/leader timeouts and partial response collection.
-* ``repro.paxos`` -- the Multi-Paxos baseline with a stable leader and
-  commit piggybacking.
+* ``repro.paxos`` -- Multi-Paxos with a stable leader and commit
+  piggybacking.  PigPaxos (the paper's contribution) is this replica with
+  the relay overlay and the leader round retry: ``repro.protocol.registry``
+  holds the ``"pigpaxos"`` preset.
+* ``repro.overlay`` -- the fan-out overlays: direct broadcast, PigPaxos
+  relay trees (relay groups, per-round random relay selection, in-network
+  aggregation, relay timeouts, partial response collection) and thrifty
+  quorum-subset sends.
 * ``repro.epaxos`` -- the EPaxos baseline (pre-accept/accept/commit with
   dependency tracking and SCC-ordered execution).
 * ``repro.sim`` / ``repro.net`` / ``repro.cluster`` -- the deterministic

@@ -2,19 +2,19 @@
 
 The simulator's stand-in for the paper's m5a.large instances.  A node is a
 single-server queue; the costs below are the service times of the work items
-that queue on it.  The defaults were calibrated (see EXPERIMENTS.md) so that
-the simulated 25-node Multi-Paxos cluster saturates around the ~2,000 req/s
-the paper reports and the leader's per-request cost is dominated by the
-2(N-1) messages it exchanges -- the exact bottleneck structure of the
-paper's analytical model (Section 6.1).
+that queue on it.  The defaults were calibrated so that the simulated
+25-node Multi-Paxos cluster saturates around the ~2,000 req/s the paper
+reports (``benchmarks/bench_fig8_latency_throughput_25.py`` prints the two
+side by side) and the leader's per-request cost is dominated by the 2(N-1)
+messages it exchanges -- the exact bottleneck structure of the paper's
+analytical model (Section 6.1).
 
 ``epaxos_bookkeeping_cost`` deserves a note: a pure message-count model makes
 EPaxos look artificially good because its messages are spread over all nodes.
 The paper (and the authors' earlier Paxi study) attribute EPaxos' poor
 throughput to per-command dependency bookkeeping and conflict resolution
 performed at *every* node; this constant stands in for that work and is
-calibrated against the published EPaxos saturation points.  The substitution
-is documented in DESIGN.md.
+calibrated against the published EPaxos saturation points.
 """
 
 from __future__ import annotations

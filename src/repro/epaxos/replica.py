@@ -264,10 +264,6 @@ class EPaxosReplica(Replica):
     def start(self) -> None:
         """EPaxos needs no leader election; nothing to bootstrap."""
 
-    def reshuffle_groups(self) -> None:
-        """Re-deal this replica's relay groups (no-op for non-relay overlays)."""
-        self._overlay.reshuffle()
-
     # ------------------------------------------------------------------ dispatch
     def on_message(self, src: int, message: Any) -> None:
         # Type-keyed dispatch table built on first use; the isinstance

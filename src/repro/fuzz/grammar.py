@@ -119,9 +119,9 @@ def generate_scenario(seed: int, profile: FuzzProfile = DEFAULT_PROFILE) -> Scen
         else:
             relay_groups = rng.randint(1, max(1, min(4, num_nodes - 1)))
         if rng.random() < 0.25:
-            config_overrides["relay_timeout"] = rng.choice((0.02, 0.1))
+            _tune_relay(config_overrides, relay_timeout=rng.choice((0.02, 0.1)))
         if rng.random() < 0.25:
-            config_overrides["group_response_threshold"] = rng.choice((0.5, 0.75))
+            _tune_relay(config_overrides, group_response_threshold=rng.choice((0.5, 0.75)))
     else:
         overlay = _sample_overlay(rng, protocol, num_nodes, wan)
         if overlay is not None:
@@ -188,7 +188,7 @@ def generate_scenario(seed: int, profile: FuzzProfile = DEFAULT_PROFILE) -> Scen
             if protocol == "pigpaxos":
                 relay_groups = None
                 use_region_groups = True
-                config_overrides["relay_levels"] = relay_levels
+                _tune_relay(config_overrides, relay_levels=relay_levels)
             else:
                 overlay = {"kind": "relay", "use_region_groups": True,
                            "relay_levels": relay_levels}
@@ -219,6 +219,13 @@ def generate_scenario(seed: int, profile: FuzzProfile = DEFAULT_PROFILE) -> Scen
     )
 
 
+def _tune_relay(config_overrides: Dict[str, object], **knobs: object) -> None:
+    """Merge relay-overlay knobs into a pigpaxos run's overlay override."""
+    overlay = dict(config_overrides.get("overlay") or {"kind": "relay"})
+    overlay.update(knobs)
+    config_overrides["overlay"] = overlay
+
+
 def _overlay_kind(config_overrides: Dict[str, object]) -> Optional[str]:
     overlay = config_overrides.get("overlay")
     if isinstance(overlay, dict):
@@ -229,7 +236,7 @@ def _overlay_kind(config_overrides: Dict[str, object]) -> Optional[str]:
 def _sample_overlay(
     rng: random.Random, protocol: str, num_nodes: int, wan: bool
 ) -> Optional[Dict[str, object]]:
-    """Overlay config dict for paxos/epaxos (pigpaxos IS the relay overlay)."""
+    """Overlay config dict for paxos/epaxos (pigpaxos is always relay)."""
     kinds = ["direct", "thrifty"]
     if protocol == "epaxos":
         kinds.append("relay")

@@ -59,12 +59,14 @@ class ShrinkResult:
 def _cost(scenario: Scenario) -> Tuple[float, ...]:
     """Lexicographic size of a scenario; every accepted edit decreases it."""
     overrides = scenario.config_overrides or {}
+    overlay = overrides.get("overlay")
+    overlay_knobs = len(set(overlay) - {"kind"}) if isinstance(overlay, dict) else 0
     return (
         len(scenario.events),
         scenario.num_nodes,
         scenario.num_clients,
         scenario.workload.num_keys,
-        len(overrides),
+        len(overrides) + overlay_knobs,
         scenario.duration,
     )
 
@@ -270,6 +272,16 @@ def _candidate_builders(scenario: Scenario):
             f"drop override {key!r}",
             replace(scenario, config_overrides=rest or None),
         )
+    #    The overlay's own knobs (relay timeouts, levels, ...) one at a
+    #    time too, keeping its kind.
+    overlay = overrides.get("overlay")
+    if isinstance(overlay, dict):
+        for key in sorted(set(overlay) - {"kind"}):
+            rest = dict(overrides, overlay={k: v for k, v in overlay.items() if k != key})
+            yield lambda key=key, rest=rest: (
+                f"drop overlay {key!r}",
+                replace(scenario, config_overrides=rest),
+            )
     # 6. Shorter run (kept last: cheap to try but least informative).
     last_event = max((event.at for event in scenario.events), default=0.0)
     for factor in (0.25, 0.5, 0.75):

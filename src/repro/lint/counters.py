@@ -43,8 +43,7 @@ REPLICA_COUNTERS: FrozenSet[str] = frozenset(
         "leader_fill_requests",
         "leader_fill_retries",
         "unknown_message",
-        # --- PigPaxos / relay overlay
-        "pig_rounds",
+        # --- Relay overlay and the leader round retry
         "relay_rounds",
         "relay_fanouts",
         "relay_timeouts",
@@ -148,7 +147,6 @@ METRIC_NAME_PREFIXES: Tuple[str, ...] = (
     "net.sent_bytes.",  # per-message-type byte counts
     "node.",            # node.<id>.messages_in/out, bytes_in/out
     "paxos.",           # replica counters, protocol-prefixed form
-    "pigpaxos.",
     "epaxos.",
     "shard.",           # shard.<s>.requests / shard.<s>.completions (workload/client.py)
     "region.",          # region.local/cross_messages (net/network.py)

@@ -11,11 +11,6 @@ paper's WAN argument (Section 6.4) -- reduces the number of messages the
 fan-out root sends and receives, but it does not shrink the payloads
 themselves: ``RelayAggregate.payload_bytes`` is the sum of its children's
 payloads.
-
-``PigRelayRequest`` and ``PigAggregate`` in :mod:`repro.core.messages` are
-aliases of these classes: PigPaxos was the first user of the relay overlay
-and its wire format did not change when the machinery was generalised for
-EPaxos.
 """
 
 from __future__ import annotations

@@ -8,10 +8,10 @@ so the fan-out root sends and receives one message per *group* instead of
 one per *node* -- the communication-cost reduction at the heart of
 conf_sigmod_CharapkoAD21.
 
-This is the machinery that used to live inside ``PigPaxosReplica``; pulling
-it out lets EPaxos route PreAccept/Accept rounds (and commit notifications)
-through the very same trees, turning the paper's Multi-Paxos result into a
-protocol-agnostic subsystem.  Robustness properties are preserved verbatim:
+The same trees serve both protocol families: Multi-Paxos hosting them is
+PigPaxos, and EPaxos routes PreAccept/Accept rounds (and commit
+notifications) through them, turning the paper's Multi-Paxos result into a
+protocol-agnostic subsystem.  Robustness properties:
 
 * a relay that times out (or hits its early-flush threshold) sends a
   partial aggregate, and *still forwards* late child responses towards the
@@ -33,8 +33,9 @@ Example::
     from repro.overlay import RelayFanout
 
     overlay = RelayFanout(num_groups=3, relay_timeout=0.05)
-    # installed via EPaxosReplica(overlay=overlay) or, for PigPaxos,
-    # built automatically from PigPaxosConfig.
+    # installed via EPaxosReplica(overlay=overlay) or
+    # MultiPaxosReplica(overlay=overlay); the builder makes one per replica
+    # from OverlayConfig(kind="relay", ...).
 """
 
 from __future__ import annotations

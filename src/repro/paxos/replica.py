@@ -4,10 +4,15 @@ The replica plays all three classical roles (proposer, acceptor, learner).
 Its phase-1/phase-2/heartbeat fan-outs route through the replica's
 :class:`~repro.overlay.base.FanoutOverlay` -- :class:`DirectFanout` by
 default (plain broadcast), :class:`ThriftyFanout` for quorum-subset sends,
-and :class:`RelayFanout` when hosted by PigPaxos
-(:mod:`repro.core.replica`), which changes *only* this message-passing
-layer, mirroring how the paper's implementation reused Paxos' correctness
-argument unchanged.
+and :class:`RelayFanout` for PigPaxos.
+
+PigPaxos is this replica with a relay overlay and the leader round retry
+of Figure 5b (``ProtocolConfig.leader_retry_timeout``): a phase-2 round
+that has not reached a quorum in time is re-sent through the overlay, which
+under relays means freshly chosen ones.  Decision making is untouched, which
+is the property the paper relies on to reuse Paxos' correctness argument:
+only the message-passing layer differs (see :mod:`repro.protocol.registry`
+for the ``"pigpaxos"`` preset).
 """
 
 from __future__ import annotations
@@ -489,12 +494,29 @@ class MultiPaxosReplica(Replica):
         self._fanout_phase2(p2a, proposal)
 
     def _fanout_phase2(self, p2a: P2a, proposal: _Proposal) -> None:
-        """Disseminate phase-2a through the fan-out overlay (PigPaxos adds retries)."""
+        """Disseminate phase-2a through the fan-out overlay and arm its retry."""
         self._overlay.wide_cast(
             p2a,
             round_id=("p2", p2a.ballot, p2a.slot),
             quorum_size=self.quorum.phase2_size,
         )
+        if self.config.leader_retry_timeout is not None:
+            self._arm_proposal_retry(proposal, p2a)
+
+    def _arm_proposal_retry(self, proposal: _Proposal, p2a: P2a) -> None:
+        if proposal.retry_timer is not None:
+            proposal.retry_timer.cancel()
+        proposal.retry_timer = self.ctx.schedule(
+            self.config.leader_retry_timeout, self._retry_proposal, proposal, p2a
+        )
+
+    def _retry_proposal(self, proposal: _Proposal, p2a: P2a) -> None:
+        """Leader timeout (Fig. 5b): re-send the round through the overlay."""
+        if proposal.committed or not self.is_leader or p2a.ballot != self.ballot:
+            return
+        self.count("leader_round_retries")
+        self._overlay.wide_cast(p2a, expects_response=True)
+        self._arm_proposal_retry(proposal, p2a)
 
     # ------------------------------------------------------------------ acceptor path
     def _process_p2a(self, msg: P2a) -> P2b:

@@ -7,6 +7,10 @@ which replicas reach the outside world (transport, timers, randomness,
 CPU-cost accounting).  Keeping protocols behind this interface is what lets
 the same replica classes run both in the discrete-event simulator and in the
 asyncio runtime.
+
+:mod:`repro.protocol.registry` builds every replica from a protocol name and
+a :class:`ProtocolConfig`.  It is not re-exported here because it imports
+the replica classes, which import this package.
 """
 
 from repro.protocol.ballot import Ballot

@@ -20,7 +20,11 @@ DEFAULT_RECOVERY_TIMEOUT = 0.25
 
 @dataclass
 class ProtocolConfig:
-    """Timing and behaviour knobs common to Multi-Paxos and PigPaxos.
+    """The one config surface of every protocol.
+
+    Which fields a protocol consumes, and the ``"pigpaxos"`` preset, live
+    in :mod:`repro.protocol.registry`; a protocol refuses any field it
+    would ignore.
 
     Attributes:
         heartbeat_interval: How often an idle leader broadcasts heartbeats /
@@ -46,22 +50,22 @@ class ProtocolConfig:
             historical degraded mode.  Recovery is armed lazily -- runs in
             which no instance ever blocks schedule no extra events, so the
             knob changes nothing on runs that never block.  EPaxos-only:
-            the builder rejects any *other* explicit value for the Paxos
+            the registry rejects any *other* explicit value for the Paxos
             family rather than silently ignoring it (the class default is
-            treated as unset there).
+            treated as unset there, and so is ``None``).
         leader_retry_timeout: How long a round leader waits for a quorum on
             an in-flight round before re-sending it through the overlay
-            (fresh relays under ``RelayFanout``).  Consumed by EPaxos,
-            where ``None`` (the default) disables it and rounds rely on
-            client retries; PigPaxos has always had its own (Figure 5b,
-            via :class:`~repro.core.config.PigPaxosConfig`, default 0.15).
-            Plain Multi-Paxos has no use for it and the builder rejects it.
+            (fresh relays under ``RelayFanout``: the Figure 5b retry).
+            ``None`` (the default) disables it and rounds rely on client
+            retries; the ``"pigpaxos"`` preset turns it on at 0.15.  As
+            ``None`` is the unset value, ``"pigpaxos"`` always retries: its
+            no-retry form is ``"paxos"`` with a relay overlay.  With a
+            relay overlay it must exceed the overlay's ``relay_timeout``.
         overlay: Fan-out overlay for wide-cast messages
             (:class:`~repro.overlay.config.OverlayConfig`, a kind string, or
             a mapping of its fields; ``None`` means the protocol's default
-            -- direct broadcast for Multi-Paxos and EPaxos).  PigPaxos *is*
-            the relay overlay and configures it through
-            :class:`~repro.core.config.PigPaxosConfig` instead.
+            -- direct broadcast for Multi-Paxos and EPaxos, the relay
+            overlay for ``"pigpaxos"``, which accepts no other kind).
         batch_max_commands: Leader-side command batching -- how many client
             commands a leader may pack into one consensus slot (Paxos
             family) or one instance (EPaxos).  The default of 1 disables

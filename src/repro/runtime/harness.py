@@ -12,12 +12,9 @@ import asyncio
 import socket
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.config import PigPaxosConfig
-from repro.core.replica import PigPaxosReplica
-from repro.epaxos.replica import EPaxosReplica
 from repro.errors import ConfigurationError
-from repro.paxos.replica import MultiPaxosReplica
 from repro.protocol.config import ProtocolConfig
+from repro.protocol.registry import replica_factory
 from repro.runtime.client import KVClient
 from repro.runtime.server import NodeServer
 
@@ -31,20 +28,28 @@ def _free_port() -> int:
 
 
 class LocalCluster:
-    """N protocol nodes on localhost, all inside the current event loop."""
+    """N protocol nodes on localhost, all inside the current event loop.
+
+    ``protocol_config`` carries the overlay, batching and session settings
+    exactly as in the simulator, e.g. two relay groups for PigPaxos::
+
+        LocalCluster("pigpaxos", 5, protocol_config=ProtocolConfig(
+            overlay={"kind": "relay", "num_groups": 2}))
+    """
 
     def __init__(
         self,
         protocol: str = "pigpaxos",
         num_nodes: int = 3,
-        relay_groups: int = 2,
         host: str = "127.0.0.1",
+        protocol_config: Optional[ProtocolConfig] = None,
     ) -> None:
         if num_nodes < 1:
             raise ConfigurationError("num_nodes must be >= 1")
         self.protocol = protocol
         self.num_nodes = num_nodes
-        self.relay_groups = relay_groups
+        self._make_replica = replica_factory(protocol, protocol_config)
+        self.config = self._make_replica.config
         self._host = host
         self.addresses: Dict[int, Address] = {}
         self.servers: List[NodeServer] = []
@@ -80,15 +85,6 @@ class LocalCluster:
         await self.stop()
 
     # ------------------------------------------------------------------ helpers
-    def _make_replica(self):
-        if self.protocol == "paxos":
-            return MultiPaxosReplica(config=ProtocolConfig())
-        if self.protocol == "pigpaxos":
-            return PigPaxosReplica(config=PigPaxosConfig(num_relay_groups=self.relay_groups))
-        if self.protocol == "epaxos":
-            return EPaxosReplica()
-        raise ConfigurationError(f"unknown protocol {self.protocol!r}")
-
     def client(self, request_timeout: float = 5.0) -> KVClient:
         return KVClient(nodes=dict(self.addresses), request_timeout=request_timeout)
 

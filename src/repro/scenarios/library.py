@@ -189,7 +189,7 @@ def _scenarios() -> List[Scenario]:
             client_timeout=0.5,
             checks=PAXOS_CHECK_NAMES + ("progress",),
             min_completed=640,  # seed completes 1920
-            config_overrides={"relay_timeout": 0.02},
+            config_overrides={"overlay": {"kind": "relay", "relay_timeout": 0.02}},
             events=(
                 E.set_drop(0.4, probability=0.25),
                 E.set_drop(1.2, probability=0.0),
@@ -206,7 +206,7 @@ def _scenarios() -> List[Scenario]:
             seed=29,
             checks=PAXOS_CHECK_NAMES + ("progress",),
             min_completed=1300,  # seed completes 3943
-            config_overrides={"group_response_threshold": 0.75},
+            config_overrides={"overlay": {"kind": "relay", "group_response_threshold": 0.75}},
             events=tuple(
                 E.reshuffle_relays(round(0.2 * step, 3)) for step in range(1, 8)
             ),
@@ -752,7 +752,7 @@ def _scenarios() -> List[Scenario]:
             client_timeout=1.0,
             checks=PAXOS_CHECK_NAMES + ("progress",),
             min_completed=110,  # seed completes 329
-            config_overrides={"relay_levels": 2},
+            config_overrides={"overlay": {"kind": "relay", "relay_levels": 2}},
             events=(
                 # Region "oregon" (node i % 3 == 2: 16 of 49 nodes) drops
                 # off the planet; the two surviving regions still hold 33
@@ -778,7 +778,7 @@ def _scenarios() -> List[Scenario]:
             client_timeout=1.0,
             checks=PAXOS_CHECK_NAMES + ("progress",),
             min_completed=44,  # seed completes 132
-            config_overrides={"relay_levels": 2},
+            config_overrides={"overlay": {"kind": "relay", "relay_levels": 2}},
             events=tuple(
                 # Zone virginia-z0 = {0, 15, 30, 45, 60} under round-robin
                 # placement: all five machines of one zone fail together
@@ -837,7 +837,7 @@ def _scenarios() -> List[Scenario]:
             client_timeout=1.0,
             checks=PAXOS_CHECK_NAMES + ("progress",),
             min_completed=58,  # seed completes 176
-            config_overrides={"relay_levels": 2},
+            config_overrides={"overlay": {"kind": "relay", "relay_levels": 2}},
             events=(
                 # The WAN degrades rather than partitions: a lossy window
                 # hits every link while one whole region turns sluggish

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.checkers.history import History, HistoryRecorder
 from repro.checkers.invariants import Violation, run_epaxos_checks, run_log_checks
@@ -33,9 +33,9 @@ from repro.checkers.linearizability import check_linearizability
 from repro.cluster.builder import Cluster, ClusterBuilder
 from repro.cluster.faults import FaultEvent, FaultKind
 from repro.cluster.topologies import planet_topology, wan_topology
-from repro.core.config import PigPaxosConfig
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ReproError
 from repro.protocol.config import ProtocolConfig
+from repro.protocol.registry import protocol_spec
 from repro.scenarios.spec import Scenario, ScenarioEvent
 
 
@@ -133,26 +133,9 @@ class ScenarioRunner:
             builder.region_relay_groups(True)
         if scenario.drop_probability > 0.0:
             builder.message_drop_probability(scenario.drop_probability)
-        config = self._protocol_config()
-        if config is not None:
-            builder.protocol_config(config)
+        if scenario.config_overrides:
+            builder.protocol_config(ProtocolConfig(**scenario.config_overrides))
         return builder.build()
-
-    def _protocol_config(self) -> Optional[ProtocolConfig]:
-        overrides = dict(self.scenario.config_overrides or {})
-        if self.scenario.protocol == "pigpaxos":
-            return PigPaxosConfig(**overrides)
-        if self.scenario.protocol == "paxos":
-            return ProtocolConfig(**overrides)
-        if self.scenario.protocol == "epaxos":
-            # EPaxos only consumes the shared session_window and overlay
-            # knobs; the builder rejects a config carrying anything else.
-            return ProtocolConfig(**overrides) if overrides else None
-        if overrides:
-            raise ConfigurationError(
-                f"protocol {self.scenario.protocol!r} takes no config overrides"
-            )
-        return None
 
     # ------------------------------------------------------------------ run
     def run(self) -> ScenarioResult:
@@ -276,14 +259,13 @@ class ScenarioRunner:
         elif action == "reshuffle_relays":
             # Paxos-family: only the leader owns a relay plan.  EPaxos:
             # every replica is a fan-out root with its own plan, so all of
-            # them reshuffle (a no-op under non-relay overlays).  Sharded
-            # clusters reshuffle every hosted group's eligible replicas.
+            # them reshuffle.  Non-relay overlays reshuffle as a no-op.
+            # Sharded clusters reshuffle every hosted group's eligible
+            # replicas.
+            leaderless = protocol_spec(cluster.protocol).leaderless
             for node in cluster.all_replica_hosts():
-                replica = node.replica
-                if node.crashed or not hasattr(replica, "reshuffle_groups"):
-                    continue
-                if getattr(replica, "is_leader", False) or replica.protocol_name == "epaxos":
-                    replica.reshuffle_groups()
+                if not node.crashed and (leaderless or node.replica.is_leader):
+                    node.replica.overlay.reshuffle()
         elif action == "set_drop":
             cluster.network.faults.drop_probability = event.probability
         elif action == "duplicate_storm":

@@ -184,7 +184,8 @@ class Scenario:
         duration: Virtual seconds to run.
         seed: Master seed; two runs of the same scenario+seed are
             bit-for-bit identical (histories, metrics, everything).
-        relay_groups: PigPaxos relay-group count (None = protocol default).
+        relay_groups: Relay-overlay group count (None = the overlay's
+            own ``num_groups``); refused on a non-relay overlay.
         wan: Use the paper's three-region WAN topology instead of a LAN.
         hierarchy: ``(num_regions, zones_per_region)`` -- deploy on the
             planet-scale region/zone topology of
@@ -193,7 +194,8 @@ class Scenario:
             with a finer intra-region structure); combine with
             ``use_region_groups`` and ``relay_levels`` overrides to get
             zone-aligned multi-level relay trees.
-        use_region_groups: Align relay groups with WAN regions.
+        use_region_groups: Align relay groups with WAN regions (relay
+            overlay only).
         workload: Client workload; defaults to the contended, identifiable
             ``WorkloadSpec.checking_default()`` the checkers need.
         client_timeout: Client request timeout before rotating targets;
@@ -207,10 +209,9 @@ class Scenario:
             needs no adaptation.
         drop_probability: Baseline random message-drop probability.
         events: Timed fault schedule.
-        config_overrides: Extra protocol-config fields (e.g.
-            ``{"relay_timeout": 0.02, "group_response_threshold": 0.75}``,
-            or for Paxos/EPaxos an overlay choice:
-            ``{"overlay": {"kind": "relay", "num_groups": 3}}``).
+        config_overrides: :class:`~repro.protocol.config.ProtocolConfig`
+            fields, e.g. ``{"batch_max_commands": 4}`` or an overlay
+            tuning: ``{"overlay": {"kind": "relay", "relay_timeout": 0.02}}``.
         checks: Which checker families the runner applies post-hoc.
         min_completed: Liveness floor for the ``progress`` check -- the
             minimum number of client operations the run must complete.

@@ -192,7 +192,7 @@ class TestBatchedScenarios:
         result = run_scenario(get_scenario("pig-batched-5"))
         result.raise_on_violations()
         counters = result.counters()
-        assert counters.get("pigpaxos.relay_fanouts", 0) > 0  # overlay actually in use
+        assert counters.get("paxos.relay_fanouts", 0) > 0  # overlay actually in use
         total_flushes = sum(
             value for name, value in counters.items() if name.startswith("batch.flush.")
         )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster.builder import ClusterBuilder, build_cluster
@@ -12,7 +14,9 @@ from repro.cluster.topologies import lan_topology, paper_wan_regions, wan_topolo
 from repro.errors import ConfigurationError
 from repro.net.latency import WANMatrixLatency
 from repro.net.network import SimNetwork
+from repro.overlay.relay import RelayFanout
 from repro.protocol.base import Replica
+from repro.protocol.config import ProtocolConfig
 from repro.sim.engine import Simulator
 
 
@@ -198,7 +202,7 @@ class TestBuilder:
         assert len(cluster.clients) == 3
         assert cluster.protocol == "pigpaxos"
         replica = cluster.nodes[0].replica
-        assert replica.pig_config.num_relay_groups == 2
+        assert replica.overlay.num_groups == 2
 
     def test_epaxos_clients_use_random_targets(self):
         cluster = build_cluster(protocol="epaxos", num_nodes=3, num_clients=2, seed=1)
@@ -221,6 +225,55 @@ class TestBuilder:
         second = build_cluster(protocol="paxos", num_nodes=5, num_clients=5, seed=9)
         second.run(0.3)
         assert first.total_completed_requests() == second.total_completed_requests()
+
+
+class TestProtocolPresets:
+    """``pigpaxos`` is the paxos replica plus a relay-overlay preset."""
+
+    def test_pigpaxos_honours_a_plain_protocol_config(self):
+        config = ProtocolConfig(batch_max_commands=8, session_window=7)
+        cluster = build_cluster(protocol="pigpaxos", num_nodes=5, num_clients=20, seed=3,
+                                protocol_config=config)
+        replica = cluster.nodes[0].replica
+        assert isinstance(replica.overlay, RelayFanout)
+        assert replica.config.batch_max_commands == 8
+        assert replica._client_sessions.window == 7
+        cluster.run(0.3)
+        assert cluster.sim.metrics.counters().get("batch.commands_batched", 0) > 0
+        # With a bounded pipeline the leader packs several commands a slot.
+        bounded = build_cluster(protocol="pigpaxos", num_nodes=5, num_clients=20, seed=3,
+                                protocol_config=replace(config, pipeline_depth=1))
+        bounded.run(0.3)
+        assert bounded.sim.metrics.histogram("batch.occupancy").max > 1
+
+    def test_builder_leaves_the_callers_config_unchanged(self):
+        # relay_groups= lands on the built replicas only: the caller's
+        # config keeps its own group count for the next build.
+        config = ProtocolConfig(overlay={"kind": "relay", "relay_timeout": 0.02})
+        snapshot = replace(config)
+        two = build_cluster(protocol="pigpaxos", num_nodes=7, num_clients=1,
+                            relay_groups=2, protocol_config=config)
+        default = build_cluster(protocol="pigpaxos", num_nodes=7, num_clients=1,
+                                protocol_config=config)
+        assert config == snapshot
+        assert [c.nodes[0].replica.overlay.num_groups for c in (two, default)] == [2, 3]
+        assert all(c.nodes[0].replica.overlay.relay_timeout == 0.02 for c in (two, default))
+
+    @pytest.mark.parametrize("protocol", ["paxos", "epaxos"])
+    @pytest.mark.parametrize("overlay", [None, "direct", "thrifty"])
+    def test_relay_group_knobs_refused_without_a_relay_overlay(self, protocol, overlay):
+        with pytest.raises(ConfigurationError):
+            build_cluster(protocol=protocol, num_nodes=5, num_clients=1,
+                          overlay=overlay, relay_groups=2)
+        with pytest.raises(ConfigurationError):
+            build_cluster(protocol=protocol, num_nodes=9, num_clients=1,
+                          topology=wan_topology(num_nodes=9), overlay=overlay,
+                          use_region_groups=True)
+
+    def test_relay_group_knobs_apply_to_any_relay_overlay(self):
+        cluster = build_cluster(protocol="epaxos", num_nodes=5, num_clients=1,
+                                overlay="relay", relay_groups=2)
+        assert all(n.replica.overlay.num_groups == 2 for n in cluster.nodes.values())
 
 
 class TestSessionWindowWiring:

@@ -618,24 +618,25 @@ class TestConfigWiring:
     def test_paxos_rejects_the_epaxos_only_knobs(self):
         """Silently ignoring a timeout knob is worse than rejecting it."""
         from repro.cluster.builder import build_cluster
-        from repro.core.config import PigPaxosConfig
         from repro.errors import ConfigurationError
         from repro.protocol.config import ProtocolConfig
+        from repro.protocol.registry import resolve_config
 
-        with pytest.raises(ConfigurationError):
-            build_cluster(
-                protocol="paxos", num_nodes=3, num_clients=1,
-                protocol_config=ProtocolConfig(leader_retry_timeout=0.3),
-            )
-        with pytest.raises(ConfigurationError):
-            build_cluster(
-                protocol="paxos", num_nodes=3, num_clients=1,
-                protocol_config=ProtocolConfig(recovery_timeout=0.3),
-            )
-        with pytest.raises(ConfigurationError):
-            PigPaxosConfig(recovery_timeout=0.3)
-        # PigPaxos keeps its own leader retry default untouched.
-        assert PigPaxosConfig().leader_retry_timeout == 0.15
+        # The leader round retry is a Paxos-family knob too: plain paxos
+        # consumes it (re-sending a stuck phase-2 round through its overlay).
+        cluster = build_cluster(
+            protocol="paxos", num_nodes=3, num_clients=1,
+            protocol_config=ProtocolConfig(leader_retry_timeout=0.3),
+        )
+        assert cluster.nodes[0].replica.config.leader_retry_timeout == 0.3
+        for protocol in ("paxos", "pigpaxos"):
+            with pytest.raises(ConfigurationError):
+                build_cluster(
+                    protocol=protocol, num_nodes=3, num_clients=1,
+                    protocol_config=ProtocolConfig(recovery_timeout=0.3),
+                )
+        # The pigpaxos preset turns the Fig-5b retry on by default.
+        assert resolve_config("pigpaxos").leader_retry_timeout == 0.15
 
     def test_commit_fallback_timeout_rejected_when_non_positive(self):
         from repro.errors import ConfigurationError

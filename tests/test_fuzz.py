@@ -18,7 +18,9 @@ the same per-scenario fingerprints as the serial path, in the same order.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -167,6 +169,25 @@ class TestShrinker:
         assert result.runs <= 60
         assert result.shrunk.name == f"{scenario.name}-min"
 
+    def test_shrink_drops_overlay_knobs_one_at_a_time(self, monkeypatch):
+        # Seed 16 is pigpaxos with two relay knobs in one overlay override.
+        # A stand-in run that "violates" while relay_timeout is set must
+        # keep that knob and shed group_response_threshold on its own.
+        scenario = generate_scenario(16)
+        assert set(scenario.config_overrides["overlay"]) == {
+            "kind", "relay_timeout", "group_response_threshold"}
+
+        def fake_run(candidate):
+            overlay = (candidate.config_overrides or {}).get("overlay") or {}
+            violations = [SimpleNamespace(checker="progress")] if "relay_timeout" in overlay else []
+            return SimpleNamespace(violations=violations)
+
+        monkeypatch.setattr(sys.modules["repro.fuzz.shrink"], "run_scenario", fake_run)
+        result = shrink(scenario, max_runs=200)
+        assert result.shrunk.config_overrides == {
+            "overlay": {"kind": "relay", "relay_timeout": 0.02}}
+        assert "drop overlay 'group_response_threshold'" in result.steps
+
     def test_shrink_is_deterministic(self):
         seed = CALIBRATION_SEEDS["planner-order"]
         scenario = generate_scenario(seed, EPAXOS_PROFILE)
@@ -224,6 +245,45 @@ class TestFuzzFoundRegressions:
         result = run_scenario(get_scenario("epaxos-region-partition-recovery"))
         assert result.ok, result.violations
         assert result.completed_requests >= 10
+
+
+# ---------------------------------------------------------------- replay
+#: Run fingerprints of fuzz seeds 7-16, recorded before the PigPaxos replica
+#: class and its config type were folded into the paxos replica plus the
+#: ``"pigpaxos"`` preset.  Seeds 7, 9 and 16 are pigpaxos runs whose
+#: relay_timeout / group_response_threshold / relay_levels draws now land
+#: in an ``{"overlay": {"kind": "relay", ...}}`` override, so these pin both
+#: the grammar's draw order and the preset's behaviour, byte for byte.
+REPLAY_FINGERPRINTS = {
+    7: "de9d5d7e822cff1f0b44a5ef253c2e8fffd87b48eb68098f230f299017d35105",
+    8: "b11d0d8577c625820678fae69861daf748bd1115c43b298cd994772eed3adbbb",
+    9: "6f1222d41d3ecd723d86967e5d741859fff9795cd819f93275040963e8f03f48",
+    10: "3dee8d4a0d0baba3c2f194534d4d6c22c8a9341882b2a46fb4f49de9039828e5",
+    11: "ab36910dfa5f0b8128e47cf37626b6ee8751ceadded1758a49db489ec176e6df",
+    12: "8641966e1618918df69273e54a2b1278f262c3c871adecf3d9c0997cfdfd83ba",
+    13: "a2046bec7567e1e0364f117485a48e7bf61786549d34773ed2362103bceb8b4f",
+    14: "c3eb707386ae0783717eb51753c1c8f3a2202aa0ece1f1ce6616daff7968355b",
+    15: "58185c904fe91b161040791acf2a55175ce5db91673bb3e553795b55f7663ed9",
+    16: "e31368222358c77b755b782c0dc5f4454b580ef1486385a939f9389c13dac189",
+}
+
+
+class TestSeedReplay:
+    def test_window_holds_tuned_pigpaxos_seeds(self):
+        relay_knobs = {"relay_timeout", "group_response_threshold", "relay_levels"}
+        tuned = []
+        for seed in REPLAY_FINGERPRINTS:
+            scenario = generate_scenario(seed)
+            overlay = (scenario.config_overrides or {}).get("overlay", {})
+            if scenario.protocol == "pigpaxos" and relay_knobs & set(overlay):
+                tuned.append(seed)
+        assert tuned == [7, 9, 16]
+
+    @pytest.mark.parametrize("seed", sorted(REPLAY_FINGERPRINTS))
+    def test_seed_replays_its_recorded_fingerprint(self, seed):
+        outcome = run_outcome(generate_scenario(seed))
+        assert outcome.ok, outcome.violations
+        assert outcome.fingerprint == REPLAY_FINGERPRINTS[seed]
 
 
 # ---------------------------------------------------------------- parallel

@@ -16,7 +16,8 @@ import random
 
 import pytest
 
-from repro.core.groups import (
+from repro.errors import ConfigurationError
+from repro.overlay.groups import (
     HierarchicalGroupPlan,
     RelayGroupPlan,
     contiguous_groups,
@@ -24,7 +25,6 @@ from repro.core.groups import (
     region_groups,
     round_robin_groups,
 )
-from repro.errors import ConfigurationError
 
 SEEDS = list(range(30))
 

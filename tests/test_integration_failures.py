@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.cluster.builder import build_cluster
 from repro.cluster.faults import FaultSchedule
-from repro.core.config import PigPaxosConfig
+from repro.protocol.config import ProtocolConfig
 from repro.workload.spec import WorkloadSpec
 
 WORKLOAD = WorkloadSpec(num_keys=50)
@@ -58,8 +58,9 @@ class TestFollowerAndRelayFailures:
 
 class TestLeaderFailure:
     def test_new_leader_elected_after_crash(self):
-        config = PigPaxosConfig(num_relay_groups=2, election_timeout_min=0.15,
-                                election_timeout_max=0.3, heartbeat_interval=0.03)
+        config = ProtocolConfig(overlay={"kind": "relay", "num_groups": 2},
+                                election_timeout_min=0.15, election_timeout_max=0.3,
+                                heartbeat_interval=0.03)
         schedule = FaultSchedule().crash(0, at=0.3)
         cluster = build_cluster(protocol="pigpaxos", num_nodes=5, num_clients=4, seed=23,
                                 protocol_config=config, fault_schedule=schedule, workload=WORKLOAD)
@@ -69,8 +70,9 @@ class TestLeaderFailure:
         assert cluster.logs_agree()
 
     def test_clients_make_progress_after_failover(self):
-        config = PigPaxosConfig(num_relay_groups=2, election_timeout_min=0.15,
-                                election_timeout_max=0.3, heartbeat_interval=0.03)
+        config = ProtocolConfig(overlay={"kind": "relay", "num_groups": 2},
+                                election_timeout_min=0.15, election_timeout_max=0.3,
+                                heartbeat_interval=0.03)
         schedule = FaultSchedule().crash(0, at=0.3)
         cluster = build_cluster(protocol="pigpaxos", num_nodes=5, num_clients=4, seed=23,
                                 protocol_config=config, fault_schedule=schedule, workload=WORKLOAD)

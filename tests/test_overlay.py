@@ -231,7 +231,7 @@ class TestEPaxosRelayFanout:
         replica, ctx = epaxos_replica(overlay=RelayFanout(num_groups=2))
         before = [list(g) for g in replica.overlay.plan().groups]
         for _ in range(10):
-            replica.reshuffle_groups()
+            replica.overlay.reshuffle()
             after = [list(g) for g in replica.overlay.plan().groups]
             if after != before:
                 break
@@ -375,7 +375,7 @@ class TestDeepRelayResilience:
         assert relay.overlay.open_sessions == 1
 
         before = relay.overlay.plan()
-        relay.reshuffle_groups()
+        relay.overlay.reshuffle()
         after = relay.overlay.plan()
         # The rebuilt plan is still hierarchical and zone-preserving...
         assert isinstance(before, HierarchicalGroupPlan)
@@ -462,15 +462,28 @@ class TestBuilderWiring:
                                 protocol_config=config)
         assert all(isinstance(n.replica.overlay, ThriftyFanout) for n in cluster.nodes.values())
 
-    def test_paxos_accepts_thrifty_but_not_relay(self):
+    def test_paxos_accepts_thrifty_and_relay(self):
         cluster = build_cluster(protocol="paxos", num_nodes=3, num_clients=1, overlay="thrifty")
         assert all(isinstance(n.replica.overlay, ThriftyFanout) for n in cluster.nodes.values())
-        with pytest.raises(ConfigurationError):
-            build_cluster(protocol="paxos", num_nodes=3, num_clients=1, overlay="relay")
+        # Paxos over relays is PigPaxos without the leader round retry.
+        cluster = build_cluster(protocol="paxos", num_nodes=3, num_clients=1, overlay="relay")
+        replicas = [n.replica for n in cluster.nodes.values()]
+        assert all(isinstance(r.overlay, RelayFanout) for r in replicas)
+        assert all(r.config.leader_retry_timeout is None for r in replicas)
 
-    def test_pigpaxos_rejects_overlay_config(self):
-        with pytest.raises(ConfigurationError):
-            build_cluster(protocol="pigpaxos", num_nodes=3, num_clients=1, overlay="direct")
+    def test_pigpaxos_rejects_non_relay_overlays(self):
+        for kind in ("direct", "thrifty"):
+            with pytest.raises(ConfigurationError):
+                build_cluster(protocol="pigpaxos", num_nodes=3, num_clients=1, overlay=kind)
+            with pytest.raises(ConfigurationError):
+                build_cluster(protocol="pigpaxos", num_nodes=3, num_clients=1,
+                              protocol_config=ProtocolConfig(overlay=kind))
+        # A relay overlay is accepted and tunes the preset's relays.
+        cluster = build_cluster(protocol="pigpaxos", num_nodes=5, num_clients=1,
+                                overlay={"kind": "relay", "relay_timeout": 0.02})
+        replica = cluster.nodes[0].replica
+        assert replica.overlay.relay_timeout == 0.02
+        assert replica.config.leader_retry_timeout == 0.15
 
     def test_builder_overlay_wins_over_protocol_config(self):
         config = ProtocolConfig(overlay={"kind": "thrifty"})

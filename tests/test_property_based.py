@@ -7,7 +7,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.model import messages_at_follower, messages_at_leader
-from repro.core.groups import RelayGroupPlan, contiguous_groups, round_robin_groups
+from repro.overlay.groups import RelayGroupPlan, contiguous_groups, round_robin_groups
 from repro.protocol.ballot import Ballot
 from repro.quorum.systems import FastQuorum, FlexibleQuorum, MajorityQuorum
 from repro.sim.events import EventQueue

@@ -3,18 +3,21 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from repro.core.config import PigPaxosConfig
-from repro.core.groups import (
+from repro.errors import ConfigurationError
+from repro.overlay.config import OverlayConfig
+from repro.overlay.groups import (
     RelayGroupPlan,
     contiguous_groups,
     hash_groups,
     region_groups,
     round_robin_groups,
 )
-from repro.errors import ConfigurationError
+from repro.protocol.config import ProtocolConfig
+from repro.protocol.registry import resolve_config
 
 
 class TestPartitioners:
@@ -113,25 +116,40 @@ class TestRelayGroupPlan:
         assert tree.children == ()
 
 
-class TestPigPaxosConfig:
+class TestPigPaxosPreset:
     def test_defaults_are_valid(self):
-        config = PigPaxosConfig()
-        assert config.num_relay_groups == 3
-        assert config.relay_timeout == pytest.approx(0.05)
+        config = resolve_config("pigpaxos")
+        assert config.overlay.kind == "relay"
+        assert config.overlay.num_groups == 3
+        assert config.overlay.relay_timeout == pytest.approx(0.05)
+        assert config.leader_retry_timeout == pytest.approx(0.15)
+
+    def test_pigpaxos_always_retries(self):
+        # None is leader_retry_timeout's unset value, so pigpaxos fills in
+        # its preset; the no-retry form is paxos over relays.
+        explicit_none = ProtocolConfig(leader_retry_timeout=None)
+        assert resolve_config("pigpaxos", explicit_none).leader_retry_timeout == pytest.approx(0.15)
+        no_retry = resolve_config("paxos", replace(explicit_none, overlay="relay"))
+        assert no_retry.overlay.kind == "relay" and no_retry.leader_retry_timeout is None
 
     def test_invalid_group_count(self):
         with pytest.raises(ConfigurationError):
-            PigPaxosConfig(num_relay_groups=0)
+            OverlayConfig(kind="relay", num_groups=0)
 
     def test_leader_retry_must_exceed_relay_timeout(self):
+        slow_relays = ProtocolConfig(overlay={"kind": "relay", "relay_timeout": 0.2})
         with pytest.raises(ConfigurationError):
-            PigPaxosConfig(relay_timeout=0.2, leader_retry_timeout=0.1)
+            resolve_config("pigpaxos", slow_relays)
+        with pytest.raises(ConfigurationError):
+            resolve_config("paxos", replace(slow_relays, leader_retry_timeout=0.1))
+        assert resolve_config("paxos", slow_relays).leader_retry_timeout is None
 
     def test_threshold_range_checked(self):
         with pytest.raises(ConfigurationError):
-            PigPaxosConfig(group_response_threshold=1.5)
-        assert PigPaxosConfig(group_response_threshold=0.5).group_response_threshold == 0.5
+            OverlayConfig(kind="relay", group_response_threshold=1.5)
+        config = OverlayConfig(kind="relay", group_response_threshold=0.5)
+        assert config.group_response_threshold == 0.5
 
     def test_relay_levels_validated(self):
         with pytest.raises(ConfigurationError):
-            PigPaxosConfig(relay_levels=0)
+            OverlayConfig(kind="relay", relay_levels=0)

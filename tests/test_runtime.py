@@ -6,8 +6,10 @@ import asyncio
 
 import pytest
 
-from repro.errors import RuntimeTransportError
+from repro.errors import ConfigurationError, RuntimeTransportError
+from repro.overlay.relay import RelayFanout
 from repro.protocol.ballot import Ballot
+from repro.protocol.config import ProtocolConfig
 from repro.protocol.messages import ClientRequest, P2a
 from repro.runtime.codec import MAX_FRAME_BYTES, PickleCodec, frame
 from repro.runtime.harness import LocalCluster
@@ -45,10 +47,15 @@ def _run(coro):
     return asyncio.run(coro)
 
 
+_TWO_RELAY_GROUPS = ProtocolConfig(overlay={"kind": "relay", "num_groups": 2})
+
+
 @pytest.mark.parametrize("protocol", ["paxos", "pigpaxos"])
 def test_local_cluster_put_get_delete(protocol):
+    config = _TWO_RELAY_GROUPS if protocol == "pigpaxos" else None
+
     async def scenario():
-        async with LocalCluster(protocol=protocol, num_nodes=3, relay_groups=2) as cluster:
+        async with LocalCluster(protocol=protocol, num_nodes=3, protocol_config=config) as cluster:
             client = cluster.client()
             await client.connect(cluster.leader_id() or 0)
             await client.put("name", "pigpaxos")
@@ -74,9 +81,36 @@ def test_local_cluster_epaxos_roundtrip():
     _run(scenario())
 
 
+def test_local_cluster_takes_a_protocol_config():
+    # Overlay, batching and session settings reach real-socket replicas the
+    # same way they reach simulated ones.
+    config = ProtocolConfig(overlay={"kind": "relay", "num_groups": 2},
+                            batch_max_commands=4, session_window=7)
+    cluster = LocalCluster(protocol="paxos", num_nodes=3, protocol_config=config)
+    resolved = cluster.config
+    assert resolved.overlay.num_groups == 2 and resolved.batch_max_commands == 4
+    assert resolved.leader_retry_timeout is None  # paxos over relays: no Fig-5b retry
+    with pytest.raises(ConfigurationError):
+        LocalCluster(protocol="pigpaxos", num_nodes=3, protocol_config=ProtocolConfig(overlay="thrifty"))
+
+    async def scenario():
+        async with LocalCluster(protocol="paxos", num_nodes=3, protocol_config=config) as cluster:
+            replicas = [server.replica for server in cluster.servers]
+            assert all(isinstance(r.overlay, RelayFanout) for r in replicas)
+            assert all(r._client_sessions.window == 7 for r in replicas)
+            client = cluster.client()
+            await client.connect(cluster.leader_id() or 0)
+            await client.put("k", "v")
+            assert await client.get("k") == "v"
+            await client.close()
+
+    _run(scenario())
+
+
 def test_replicas_replicate_to_followers_over_tcp():
     async def scenario():
-        async with LocalCluster(protocol="pigpaxos", num_nodes=3, relay_groups=2) as cluster:
+        async with LocalCluster(protocol="pigpaxos", num_nodes=3,
+                                protocol_config=_TWO_RELAY_GROUPS) as cluster:
             client = cluster.client()
             await client.connect(cluster.leader_id() or 0)
             for index in range(10):

@@ -60,12 +60,12 @@ class TestCannedScenarios:
 
     def test_relay_churn_scenario_reshuffles(self):
         result = run_scenario(get_scenario("pig-relay-churn"))
-        assert result.counters().get("pigpaxos.group_reshuffles", 0) >= 1
+        assert result.counters().get("paxos.group_reshuffles", 0) >= 1
 
     def test_timeout_storm_exercises_relay_timeouts(self):
         result = run_scenario(get_scenario("pig-relay-timeout-storm"))
         counters = result.counters()
-        assert counters.get("pigpaxos.relay_timeouts", 0) >= 1
+        assert counters.get("paxos.relay_timeouts", 0) >= 1
         assert counters.get("net.messages_dropped", 0) >= 1
 
 
