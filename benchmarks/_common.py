@@ -4,7 +4,9 @@ Every ``bench_*`` module reproduces one table or figure from the paper: it
 runs the simulated clusters with the paper's parameters (scaled down in
 virtual duration so the whole suite finishes in minutes), prints a
 paper-vs-measured table, and writes the same table under
-``benchmarks/results/`` so it survives pytest's output capturing.
+``benchmarks/results/`` so it survives pytest's output capturing.  A
+benchmark point is a :class:`~repro.scenarios.spec.Scenario` built by
+:func:`paper_point` plus a measurement window (``repro.bench.measure``).
 
 Set ``REPRO_BENCH_SCALE`` (default 1.0) to lengthen or shorten every run,
 e.g. ``REPRO_BENCH_SCALE=3 pytest benchmarks/ --benchmark-only`` for longer,
@@ -18,6 +20,8 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Sequence
 
 from repro.bench.plots import ascii_chart, format_table
+from repro.scenarios import Scenario
+from repro.workload.spec import WorkloadSpec
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -44,6 +48,20 @@ def duration() -> float:
 
 def warmup() -> float:
     return BASE_WARMUP
+
+
+def paper_point(name: str, **fields) -> Scenario:
+    """A benchmark point: the paper's workload, the shared seed, no checkers.
+
+    ``fields`` are :class:`Scenario` fields and override those defaults.
+    """
+    defaults = {
+        "seed": SEED,
+        "duration": duration(),
+        "workload": WorkloadSpec.paper_default(),
+        "checks": (),
+    }
+    return Scenario(name=name, **{**defaults, **fields})
 
 
 def report(name: str, title: str, lines: Iterable[str]) -> str:

@@ -12,31 +12,29 @@ from __future__ import annotations
 
 import pytest
 
-from _common import SEED, comparison_table, duration, report, warmup
-from repro.bench.runner import ExperimentConfig, run_experiment
-from repro.cluster.faults import FaultSchedule
-from repro.protocol.config import ProtocolConfig
+from _common import comparison_table, paper_point, report, warmup
+from repro.bench import measure
+from repro.scenarios import ScenarioEvent, run_scenario
 
 NINE_NODE_CLIENTS = 120
+#: Node 8 runs 50x slower than its peers for the whole run.
+SLUGGISH_FOLLOWER = (ScenarioEvent.sluggish(0.0, 8, 50.0),)
 
 
-def _run(relay_knobs, leader_retry_timeout=None, **experiment_kwargs):
+def _run(relay_knobs, leader_retry_timeout=None, events=()):
     """PigPaxos with 2 relay groups tuned by ``relay_knobs`` (OverlayConfig fields)."""
-    protocol_config = ProtocolConfig(
-        overlay={"kind": "relay", "num_groups": 2, **relay_knobs},
-        leader_retry_timeout=leader_retry_timeout,
-    )
-    config = ExperimentConfig(
+    point = paper_point(
+        "ablation",
         protocol="pigpaxos",
         num_nodes=9,
         num_clients=NINE_NODE_CLIENTS,
-        duration=duration(),
-        warmup=warmup(),
-        seed=SEED,
-        protocol_config=protocol_config,
-        **experiment_kwargs,
+        config_overrides={
+            "overlay": {"kind": "relay", "num_groups": 2, **relay_knobs},
+            "leader_retry_timeout": leader_retry_timeout,
+        },
+        events=events,
     )
-    return run_experiment(config)
+    return measure(run_scenario(point), warmup())
 
 
 @pytest.mark.benchmark(group="ablations")
@@ -67,9 +65,8 @@ def test_ablation_relay_rotation_vs_fixed_relays(benchmark):
 @pytest.mark.benchmark(group="ablations")
 def test_ablation_relay_timeout_with_sluggish_follower(benchmark):
     def _measure():
-        schedule = FaultSchedule().sluggish(8, at=0.0, factor=50.0)
-        tight = _run({"relay_timeout": 0.01}, leader_retry_timeout=0.1, fault_schedule=schedule)
-        loose = _run({"relay_timeout": 0.2}, leader_retry_timeout=0.5, fault_schedule=schedule)
+        tight = _run({"relay_timeout": 0.01}, leader_retry_timeout=0.1, events=SLUGGISH_FOLLOWER)
+        loose = _run({"relay_timeout": 0.2}, leader_retry_timeout=0.5, events=SLUGGISH_FOLLOWER)
         return tight, loose
 
     tight, loose = benchmark.pedantic(_measure, rounds=1, iterations=1)
@@ -91,9 +88,8 @@ def test_ablation_relay_timeout_with_sluggish_follower(benchmark):
 @pytest.mark.benchmark(group="ablations")
 def test_ablation_partial_response_collection(benchmark):
     def _measure():
-        schedule = FaultSchedule().sluggish(8, at=0.0, factor=50.0)
-        wait_all = _run({}, fault_schedule=schedule)
-        threshold = _run({"group_response_threshold": 0.75}, fault_schedule=schedule)
+        wait_all = _run({}, events=SLUGGISH_FOLLOWER)
+        threshold = _run({"group_response_threshold": 0.75}, events=SLUGGISH_FOLLOWER)
         return wait_all, threshold
 
     wait_all, threshold = benchmark.pedantic(_measure, rounds=1, iterations=1)

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from _common import SEED, SMALL_CLUSTER_SWEEP_CLIENTS, chart, comparison_table, duration, report, warmup
-from repro.bench.runner import ExperimentConfig
-from repro.bench.sweeps import latency_throughput_sweep
+from _common import SMALL_CLUSTER_SWEEP_CLIENTS, chart, comparison_table, paper_point, report, warmup
+from repro.bench import latency_throughput_sweep
 
 PAPER_SATURATION = {"epaxos": 2800, "paxos": 7000, "pigpaxos": 9500}
 
@@ -20,15 +19,13 @@ PAPER_SATURATION = {"epaxos": 2800, "paxos": 7000, "pigpaxos": 9500}
 def _measure():
     sweeps = {}
     for protocol in ("paxos", "epaxos", "pigpaxos"):
-        config = ExperimentConfig(
+        point = paper_point(
+            f"fig10-{protocol}",
             protocol=protocol,
             num_nodes=5,
             relay_groups=2 if protocol == "pigpaxos" else None,
-            duration=duration(),
-            warmup=warmup(),
-            seed=SEED,
         )
-        sweeps[protocol] = latency_throughput_sweep(config, client_counts=SMALL_CLUSTER_SWEEP_CLIENTS)
+        sweeps[protocol] = latency_throughput_sweep(point, SMALL_CLUSTER_SWEEP_CLIENTS, warmup())
     return sweeps
 
 

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from _common import SEED, SMALL_CLUSTER_SWEEP_CLIENTS, chart, comparison_table, duration, report, warmup
-from repro.bench.runner import ExperimentConfig
-from repro.bench.sweeps import latency_throughput_sweep
+from _common import SMALL_CLUSTER_SWEEP_CLIENTS, chart, comparison_table, paper_point, report, warmup
+from repro.bench import latency_throughput_sweep
 
 PAPER_SATURATION = {"paxos": 4500, "pigpaxos r=2": 7500, "pigpaxos r=3": 6500}
 
@@ -21,15 +20,13 @@ def _measure():
     sweeps = {}
     configs = [("paxos", None), ("pigpaxos r=2", 2), ("pigpaxos r=3", 3)]
     for label, groups in configs:
-        config = ExperimentConfig(
+        point = paper_point(
+            label,
             protocol="paxos" if groups is None else "pigpaxos",
             num_nodes=9,
             relay_groups=groups,
-            duration=duration(),
-            warmup=warmup(),
-            seed=SEED,
         )
-        sweeps[label] = latency_throughput_sweep(config, client_counts=SMALL_CLUSTER_SWEEP_CLIENTS, label=label)
+        sweeps[label] = latency_throughput_sweep(point, SMALL_CLUSTER_SWEEP_CLIENTS, warmup())
     return sweeps
 
 

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from _common import MAX_THROUGHPUT_CLIENTS, SEED, comparison_table, duration, report, warmup
-from repro.bench.runner import ExperimentConfig
-from repro.bench.sweeps import max_throughput
+from _common import MAX_THROUGHPUT_CLIENTS, comparison_table, paper_point, report, warmup
+from repro.bench import latency_throughput_sweep
 
 RELAY_GROUP_COUNTS = (2, 3, 4, 5, 6)
 PAPER_MAX_THROUGHPUT = {2: 9000, 3: 7000, 4: 6000, 5: 5500, 6: 5000}  # approximate req/s read off Fig. 7
@@ -20,16 +19,9 @@ PAPER_MAX_THROUGHPUT = {2: 9000, 3: 7000, 4: 6000, 5: 5500, 6: 5000}  # approxim
 def _measure() -> dict:
     results = {}
     for groups in RELAY_GROUP_COUNTS:
-        config = ExperimentConfig(
-            protocol="pigpaxos",
-            num_nodes=25,
-            relay_groups=groups,
-            duration=duration(),
-            warmup=warmup(),
-            seed=SEED,
-        )
-        best, _ = max_throughput(config, client_counts=MAX_THROUGHPUT_CLIENTS)
-        results[groups] = best.throughput
+        point = paper_point(f"fig7-r{groups}", protocol="pigpaxos", num_nodes=25, relay_groups=groups)
+        sweep = latency_throughput_sweep(point, MAX_THROUGHPUT_CLIENTS, warmup())
+        results[groups] = sweep.best_run().throughput
     return results
 
 

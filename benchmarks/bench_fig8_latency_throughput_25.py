@@ -10,23 +10,20 @@ from __future__ import annotations
 
 import pytest
 
-from _common import LATENCY_SWEEP_CLIENTS, SEED, chart, comparison_table, duration, report, warmup
-from repro.bench.runner import ExperimentConfig
-from repro.bench.sweeps import latency_throughput_sweep
+from _common import LATENCY_SWEEP_CLIENTS, chart, comparison_table, paper_point, report, warmup
+from repro.bench import latency_throughput_sweep
 
 PAPER_SATURATION = {"epaxos": 1000, "paxos": 2000, "pigpaxos": 7000}
 
 
 def _sweep_protocol(protocol: str):
-    config = ExperimentConfig(
+    point = paper_point(
+        f"fig8-{protocol}",
         protocol=protocol,
         num_nodes=25,
         relay_groups=3 if protocol == "pigpaxos" else None,
-        duration=duration(),
-        warmup=warmup(),
-        seed=SEED,
     )
-    return latency_throughput_sweep(config, client_counts=LATENCY_SWEEP_CLIENTS)
+    return latency_throughput_sweep(point, LATENCY_SWEEP_CLIENTS, warmup())
 
 
 def _measure():

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from _common import SEED, WAN_SWEEP_CLIENTS, chart, comparison_table, duration, report, warmup
-from repro.bench.runner import ExperimentConfig
-from repro.bench.sweeps import latency_throughput_sweep
-from repro.cluster.topologies import wan_topology
+from _common import WAN_SWEEP_CLIENTS, chart, comparison_table, duration, paper_point, report, warmup
+from repro.bench import latency_throughput_sweep
 
 PAPER_SATURATION = {"paxos": 2000, "pigpaxos": 5500}
 
@@ -21,16 +19,15 @@ PAPER_SATURATION = {"paxos": 2000, "pigpaxos": 5500}
 def _measure():
     sweeps = {}
     for protocol in ("paxos", "pigpaxos"):
-        config = ExperimentConfig(
+        point = paper_point(
+            f"fig9-{protocol}",
             protocol=protocol,
             num_nodes=15,
-            topology=wan_topology(num_nodes=15),
+            wan=True,
             use_region_groups=(protocol == "pigpaxos"),
             duration=max(duration(), 1.0),
-            warmup=warmup(),
-            seed=SEED,
         )
-        sweeps[protocol] = latency_throughput_sweep(config, client_counts=WAN_SWEEP_CLIENTS)
+        sweeps[protocol] = latency_throughput_sweep(point, WAN_SWEEP_CLIENTS, warmup())
     return sweeps
 
 

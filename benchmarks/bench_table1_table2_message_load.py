@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import pytest
 
-from _common import SEED, comparison_table, report
+from _common import comparison_table, paper_point, report
 from repro.analysis.model import message_load_table, messages_at_leader
-from repro.bench.runner import ExperimentConfig, build_from_config
+from repro.scenarios import run_scenario
 
 PAPER_TABLE1 = {  # r -> (Ml, Mf, overhead %)
     2: (6, 3.83, 56), 3: (8, 3.75, 113), 4: (10, 3.67, 172),
@@ -61,14 +61,13 @@ def test_model_matches_simulated_leader_message_counts(benchmark):
     def _measure():
         measured = {}
         for protocol, groups in (("pigpaxos", 3), ("pigpaxos", 2), ("paxos", None)):
-            config = ExperimentConfig(protocol=protocol, num_nodes=9, relay_groups=groups,
-                                      num_clients=20, duration=0.4, warmup=0.1, seed=SEED)
-            cluster = build_from_config(config)
-            cluster.run(config.duration)
-            completed = cluster.total_completed_requests()
-            leader_msgs = (cluster.sim.metrics.counter("node.0.messages_in").value
-                           + cluster.sim.metrics.counter("node.0.messages_out").value)
-            measured[(protocol, groups)] = leader_msgs / completed
+            result = run_scenario(paper_point(f"table1-{protocol}-r{groups}", protocol=protocol,
+                                              num_nodes=9, relay_groups=groups,
+                                              num_clients=20, duration=0.4))
+            metrics = result.cluster.sim.metrics
+            leader_msgs = (metrics.counter("node.0.messages_in").value
+                           + metrics.counter("node.0.messages_out").value)
+            measured[(protocol, groups)] = leader_msgs / result.completed_requests
         return measured
 
     measured = benchmark.pedantic(_measure, rounds=1, iterations=1)

@@ -11,33 +11,30 @@ from __future__ import annotations
 
 import pytest
 
-from _common import SEED, comparison_table, report
+from _common import comparison_table, paper_point, report
 from repro.analysis.wan import wan_traffic_table
-from repro.bench.runner import ExperimentConfig, build_from_config
-from repro.cluster.topologies import wan_topology
+from repro.cluster.topologies import paper_wan_regions
+from repro.scenarios import run_scenario
 from repro.workload.spec import WorkloadSpec
 
-REGIONS = {"virginia": [0, 3, 6], "california": [1, 4, 7], "oregon": [2, 5, 8]}
+#: The paper's round-robin layout: virginia [0, 3, 6], california [1, 4, 7], oregon [2, 5, 8].
+REGIONS = paper_wan_regions(9)
 
 
 def _measured_cross_region_per_request(protocol: str) -> float:
-    topology = wan_topology(region_nodes=REGIONS)
-    config = ExperimentConfig(
+    result = run_scenario(paper_point(
+        f"wan-traffic-{protocol}",
         protocol=protocol,
         num_nodes=9,
-        topology=topology,
+        wan=True,
         use_region_groups=(protocol == "pigpaxos"),
         num_clients=20,
         workload=WorkloadSpec(read_ratio=0.0),
         duration=1.0,
-        warmup=0.2,
-        seed=SEED,
-    )
-    cluster = build_from_config(config)
-    cluster.run(config.duration)
+    ))
     # The network classifies every send by the regions of its two ends.
-    cross = cluster.sim.metrics.counters().get("region.cross_messages", 0.0)
-    completed = cluster.total_completed_requests()
+    cross = result.counters().get("region.cross_messages", 0.0)
+    completed = result.completed_requests
     return cross / completed if completed else float("inf")
 
 

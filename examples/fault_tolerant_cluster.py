@@ -14,28 +14,31 @@ Run with:  python examples/fault_tolerant_cluster.py
 
 from __future__ import annotations
 
-from repro.bench.plots import format_table
-from repro.cluster.builder import build_cluster
-from repro.cluster.faults import FaultSchedule
-from repro.protocol.config import ProtocolConfig
+from repro.bench import completion_rates, format_table
+from repro.scenarios import Scenario, ScenarioEvent, run_scenario
+from repro.workload.spec import WorkloadSpec
+
+DURATION = 3.0
+INTERVAL = 0.25
 
 
 def follower_failure_demo() -> None:
     print("=== 1. Single follower failure in one relay group (25 nodes, 3 groups) ===\n")
-    schedule = FaultSchedule().crash_window(24, start=1.0, end=2.0)
-    cluster = build_cluster(
+    result = run_scenario(Scenario(
+        name="follower-crash-window",
         protocol="pigpaxos",
         num_nodes=25,
         num_clients=120,
         relay_groups=3,
         seed=3,
-        fault_schedule=schedule,
-        protocol_config=ProtocolConfig(overlay={"kind": "relay", "relay_timeout": 0.05}),
-    )
-    cluster.sim.metrics.timeseries("client.completions", interval=0.25)
-    cluster.run(3.0)
+        duration=DURATION,
+        workload=WorkloadSpec.paper_default(),
+        events=(ScenarioEvent.crash(1.0, 24), ScenarioEvent.recover(2.0, 24)),
+        config_overrides={"overlay": {"kind": "relay", "relay_timeout": 0.05}},
+        checks=(),
+    ))
 
-    series = cluster.sim.metrics.timeseries("client.completions", interval=0.25).rates(end=3.0)
+    series = completion_rates(result, INTERVAL)
     rows = [[f"{t:.2f}", f"{rate:.0f}", "<-- node 24 down" if 1.0 <= t < 2.0 else ""] for t, rate in series]
     print(format_table(["window start (s)", "throughput (req/s)", ""], rows))
 
@@ -43,23 +46,31 @@ def follower_failure_demo() -> None:
     during = [r for t, r in series if 1.25 <= t < 2.0]
     dip = 100 * (1 - (sum(during) / len(during)) / (sum(before) / len(before)))
     print(f"\nThroughput dip while the follower is down: {dip:.1f}% (paper reports ~3%)\n")
-    assert cluster.logs_agree()
+    assert result.cluster.logs_agree()
 
 
 def leader_failover_demo() -> None:
     print("=== 2. Leader crash and automatic failover (9 nodes, 2 groups) ===\n")
-    config = ProtocolConfig(overlay={"kind": "relay", "num_groups": 2},
-                            election_timeout_min=0.15, election_timeout_max=0.3,
-                            heartbeat_interval=0.03)
-    schedule = FaultSchedule().crash(0, at=1.0)
-    cluster = build_cluster(
-        protocol="pigpaxos", num_nodes=9, num_clients=30, seed=5,
-        protocol_config=config, fault_schedule=schedule,
-    )
-    cluster.sim.metrics.timeseries("client.completions", interval=0.25)
-    cluster.run(3.0)
+    result = run_scenario(Scenario(
+        name="leader-crash",
+        protocol="pigpaxos",
+        num_nodes=9,
+        num_clients=30,
+        seed=5,
+        duration=DURATION,
+        workload=WorkloadSpec.paper_default(),
+        events=(ScenarioEvent.crash(1.0, 0),),
+        config_overrides={
+            "overlay": {"kind": "relay", "num_groups": 2},
+            "election_timeout_min": 0.15,
+            "election_timeout_max": 0.3,
+            "heartbeat_interval": 0.03,
+        },
+        checks=(),
+    ))
+    cluster = result.cluster
 
-    series = cluster.sim.metrics.timeseries("client.completions", interval=0.25).rates(end=3.0)
+    series = completion_rates(result, INTERVAL)
     rows = [[f"{t:.2f}", f"{rate:.0f}", "<-- leader crashed" if abs(t - 1.0) < 0.01 else ""] for t, rate in series]
     print(format_table(["window start (s)", "throughput (req/s)", ""], rows))
     print(f"\nOld leader: node 0 (crashed at t=1.0s).  New leader: node {cluster.leader_id()}.")

@@ -6,65 +6,47 @@ California, Oregon), 5 replicas per region.  PigPaxos assigns one relay group
 per region, so each write crosses the WAN only once per remote region instead
 of once per remote node.
 
-The example runs both Paxos and PigPaxos on the same 15-node WAN topology,
-reports throughput/latency, and counts actual cross-region messages to show
-the WAN-traffic (and cloud egress cost) difference.
+The example runs both Paxos and PigPaxos on the same 15-node WAN deployment
+(the paper's round-robin layout: node i sits in region i % 3, so the leader,
+node 0, is in Virginia), reports throughput/latency, and reads the network's
+cross-region message counter to show the WAN-traffic (and cloud egress cost)
+difference.
 
 Run with:  python examples/geo_replicated_kvstore.py
 """
 
 from __future__ import annotations
 
-from repro.bench.plots import format_table
-from repro.bench.runner import ExperimentConfig, build_from_config
-from repro.cluster.topologies import wan_topology
+from repro.bench import format_table, measure
+from repro.scenarios import Scenario, run_scenario
 from repro.workload.spec import WorkloadSpec
 
-REGION_NODES = {
-    "virginia": [0, 1, 2, 3, 4],
-    "california": [5, 6, 7, 8, 9],
-    "oregon": [10, 11, 12, 13, 14],
-}
 NUM_CLIENTS = 150
 DURATION = 1.5
+WARMUP = 0.3
 
 
 def run(protocol: str):
-    topology = wan_topology(region_nodes=REGION_NODES)
-    config = ExperimentConfig(
+    result = run_scenario(Scenario(
+        name=f"geo-kvstore-{protocol}",
         protocol=protocol,
         num_nodes=15,
-        topology=topology,
+        wan=True,
         use_region_groups=(protocol == "pigpaxos"),
         num_clients=NUM_CLIENTS,
         workload=WorkloadSpec(read_ratio=0.2, value_size=128),  # config blobs: mostly writes matter
         duration=DURATION,
-        warmup=0.3,
         seed=11,
-    )
-    cluster = build_from_config(config)
-
-    # Count cross-region messages as they are sent.
-    region_of = topology.region_map()
-    cross_region = {"count": 0}
-    original_send = cluster.network.send
-
-    def counting_send(src, dst, message):
-        src_region, dst_region = region_of.get(src), region_of.get(dst)
-        if src_region and dst_region and src_region != dst_region:
-            cross_region["count"] += 1
-        return original_send(src, dst, message)
-
-    cluster.network.send = counting_send
-    cluster.run(DURATION)
-
-    completed = cluster.total_completed_requests()
-    latencies = sorted(l for c in cluster.clients for _, l in c.stats.completions)
+        checks=(),
+    ))
+    run_result = measure(result, WARMUP)
+    # The network classifies every send by the regions of its two ends.
+    cross_region = result.counters().get("region.cross_messages", 0.0)
     return {
         "protocol": protocol,
-        "throughput": completed / DURATION,
-        "latency_ms": 1000 * latencies[len(latencies) // 2],
-        "cross_region_per_request": cross_region["count"] / max(completed, 1),
+        "throughput": run_result.throughput,
+        "latency_ms": 1000 * run_result.latency_p50,
+        "cross_region_per_request": cross_region / max(result.completed_requests, 1),
     }
 
 
@@ -80,6 +62,7 @@ def main() -> None:
         rows,
     ))
     paxos, pig = results
+    assert 0 < pig["cross_region_per_request"] < paxos["cross_region_per_request"], results
     savings = 100 * (1 - pig["cross_region_per_request"] / paxos["cross_region_per_request"])
     print(
         f"\nPigPaxos sends {savings:.0f}% fewer cross-region messages per request than Paxos, "

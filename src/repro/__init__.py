@@ -19,21 +19,24 @@ Demirbas, SIGMOD 2021).  It contains:
 * ``repro.statemachine`` / ``repro.quorum`` -- replicated log, in-memory
   key-value store and quorum systems.
 * ``repro.workload`` / ``repro.bench`` -- the Paxi-style benchmark:
-  closed-loop clients, key distributions, latency/throughput sweeps.
+  closed-loop clients, key distributions, and measurement windows and
+  latency/throughput sweeps over scenario runs (a benchmark point is a
+  ``Scenario`` plus a measurement window).
 * ``repro.analysis`` -- the paper's analytical message-load model
   (Tables 1 and 2, Section 6).
 * ``repro.runtime`` -- an asyncio TCP runtime running the same protocol
   classes over real sockets.
-* ``repro.scenarios`` / ``repro.checkers`` -- deterministic adversarial
-  scenario engine (declarative fault schedules compiled onto the
-  simulator) and post-hoc safety checkers (per-key linearizability of
-  recorded client histories, cross-replica log invariants).
+* ``repro.scenarios`` / ``repro.checkers`` -- the one experiment
+  description (``Scenario`` with its timed ``ScenarioEvent`` faults,
+  compiled onto the simulator) and post-hoc safety checkers (per-key
+  linearizability of recorded client histories, cross-replica log
+  invariants).
 """
 
 from repro.version import __version__
 from repro.cluster.builder import ClusterBuilder, build_cluster
-from repro.bench.runner import ExperimentConfig, run_experiment
-from repro.bench.results import RunResult
+from repro.bench import RunResult, latency_throughput_sweep, measure
+from repro.scenarios import Scenario, ScenarioEvent, run_scenario
 from repro.workload.spec import WorkloadSpec
 from repro.analysis.model import (
     messages_at_leader,
@@ -46,8 +49,11 @@ __all__ = [
     "__version__",
     "ClusterBuilder",
     "build_cluster",
-    "ExperimentConfig",
-    "run_experiment",
+    "Scenario",
+    "ScenarioEvent",
+    "run_scenario",
+    "measure",
+    "latency_throughput_sweep",
     "RunResult",
     "WorkloadSpec",
     "messages_at_leader",

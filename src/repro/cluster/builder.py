@@ -2,8 +2,10 @@
 
 ``ClusterBuilder`` (or the convenience :func:`build_cluster`) assembles a
 fully configured simulated deployment of one of the three protocols, plus
-closed-loop benchmark clients and an optional fault schedule.  The returned
-:class:`Cluster` is what examples, tests and the benchmark harness run.
+closed-loop benchmark clients.  The returned :class:`Cluster` is what
+examples, tests and the scenario runner run.  Timed faults are not the
+builder's concern: a :class:`~repro.scenarios.spec.Scenario` carries them
+and :class:`~repro.scenarios.runner.ScenarioRunner` fires them.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.cpu import NodeCPUModel
-from repro.cluster.faults import FaultKind, FaultSchedule
 from repro.cluster.node import ShardReplicaHost, SimNode
 from repro.cluster.topologies import lan_topology
 from repro.errors import ConfigurationError
@@ -36,6 +37,9 @@ from repro.workload.spec import WorkloadSpec
 
 #: Client endpoint ids start here so they never collide with node ids.
 CLIENT_ID_BASE = 1000
+
+#: Virtual time at which every closed-loop client issues its first request.
+CLIENT_START_TIME = 0.05
 
 
 class ShardGroupView:
@@ -82,7 +86,6 @@ class Cluster:
         topology: Topology,
         nodes: Dict[int, SimNode],
         clients: List[ClosedLoopClient],
-        fault_schedule: Optional[FaultSchedule] = None,
         history_recorder=None,
         num_shards: int = 1,
         shard_instances: Optional[List[ShardReplicaHost]] = None,
@@ -94,7 +97,6 @@ class Cluster:
         self.topology = topology
         self.nodes = nodes
         self.clients = clients
-        self.fault_schedule = fault_schedule
         self.history_recorder = history_recorder
         self.num_shards = num_shards
         #: Shard >= 1 replica instances, ordered shard-major then by host
@@ -106,7 +108,7 @@ class Cluster:
 
     # ------------------------------------------------------------------ running
     def start(self) -> None:
-        """Start replicas, clients and the fault schedule (idempotent)."""
+        """Start replicas and clients (idempotent)."""
         if self._started:
             return
         self._started = True
@@ -117,38 +119,11 @@ class Cluster:
             instance.start()
         for client in self.clients:
             client.start()
-        if self.fault_schedule is not None:
-            self._arm_faults(self.fault_schedule)
 
     def run(self, duration: float) -> float:
         """Run the simulation until ``duration`` seconds of virtual time."""
         self.start()
         return self.sim.run(until=duration)
-
-    def _arm_faults(self, schedule: FaultSchedule) -> None:
-        for event in schedule:
-            self.sim.schedule_at(event.at, self.apply_fault, event)
-
-    def apply_fault(self, event) -> None:
-        """Apply one :class:`~repro.cluster.faults.FaultEvent` right now.
-
-        The single dispatch point for scripted faults; the scenario engine
-        routes its static events through here too.
-        """
-        if event.kind is FaultKind.CRASH:
-            self.nodes[event.node].crash()
-        elif event.kind is FaultKind.RECOVER:
-            self.nodes[event.node].recover()
-        elif event.kind is FaultKind.SLUGGISH:
-            self.nodes[event.node].set_sluggish(event.factor)
-        elif event.kind is FaultKind.SEVER_LINK:
-            self.network.faults.sever_link(event.node, event.peer)
-        elif event.kind is FaultKind.HEAL_LINK:
-            self.network.faults.heal_link(event.node, event.peer)
-        elif event.kind is FaultKind.PARTITION:
-            self.network.faults.partition(*event.groups)
-        elif event.kind is FaultKind.HEAL_PARTITION:
-            self.network.faults.heal_partition()
 
     # ------------------------------------------------------------------ queries
     @property
@@ -251,12 +226,9 @@ class ClusterBuilder:
     _num_nodes: int = 5
     _topology: Optional[Topology] = None
     _protocol_config: Optional[ProtocolConfig] = None
-    _cpu_model: NodeCPUModel = field(default_factory=NodeCPUModel)
     _seed: int = 0
     _num_clients: int = 10
     _workload: WorkloadSpec = field(default_factory=WorkloadSpec.paper_default)
-    _fault_schedule: Optional[FaultSchedule] = None
-    _client_start_time: float = 0.05
     _client_timeout: float = 2.0
     _num_relay_groups: Optional[int] = None
     _use_region_groups: bool = False
@@ -284,10 +256,6 @@ class ClusterBuilder:
         self._protocol_config = config
         return self
 
-    def cpu_model(self, model: NodeCPUModel) -> "ClusterBuilder":
-        self._cpu_model = model
-        return self
-
     def seed(self, seed: int) -> "ClusterBuilder":
         self._seed = seed
         return self
@@ -300,10 +268,6 @@ class ClusterBuilder:
 
     def workload(self, spec: WorkloadSpec) -> "ClusterBuilder":
         self._workload = spec
-        return self
-
-    def faults(self, schedule: FaultSchedule) -> "ClusterBuilder":
-        self._fault_schedule = schedule
         return self
 
     def relay_groups(self, count: int) -> "ClusterBuilder":
@@ -330,10 +294,6 @@ class ClusterBuilder:
 
     def message_drop_probability(self, probability: float) -> "ClusterBuilder":
         self._drop_probability = probability
-        return self
-
-    def client_start_time(self, start_time: float) -> "ClusterBuilder":
-        self._client_start_time = start_time
         return self
 
     def history_recorder(self, recorder) -> "ClusterBuilder":
@@ -393,13 +353,14 @@ class ClusterBuilder:
         leaders = round_robin_leaders(num_shards, node_ids) if num_shards > 1 else None
         region_map = topology.region_map()
         zone_map = topology.zone_map()
+        cpu = NodeCPUModel()
         nodes: Dict[int, SimNode] = {}
         for node_id in node_ids:
             node = SimNode(
                 node_id=node_id,
                 sim=sim,
                 network=network,
-                cpu=self._cpu_model,
+                cpu=cpu,
                 all_nodes=topology.node_ids,
             )
             node.host(
@@ -456,7 +417,7 @@ class ClusterBuilder:
                 targets=list(topology.node_ids),
                 target_policy=target_policy,
                 request_timeout=self._client_timeout,
-                start_time=self._client_start_time,
+                start_time=CLIENT_START_TIME,
                 recorder=self._history_recorder,
                 router=router,
             )
@@ -469,7 +430,6 @@ class ClusterBuilder:
             topology=topology,
             nodes=nodes,
             clients=clients,
-            fault_schedule=self._fault_schedule,
             history_recorder=self._history_recorder,
             num_shards=num_shards,
             shard_instances=shard_instances,
@@ -530,8 +490,6 @@ def build_cluster(
     workload: Optional[WorkloadSpec] = None,
     topology: Optional[Topology] = None,
     protocol_config: Optional[ProtocolConfig] = None,
-    cpu_model: Optional[NodeCPUModel] = None,
-    fault_schedule: Optional[FaultSchedule] = None,
     use_region_groups: bool = False,
     overlay=None,
     shards: int = 1,
@@ -550,10 +508,6 @@ def build_cluster(
         builder.topology(topology)
     if protocol_config is not None:
         builder.protocol_config(protocol_config)
-    if cpu_model is not None:
-        builder.cpu_model(cpu_model)
-    if fault_schedule is not None:
-        builder.faults(fault_schedule)
     if use_region_groups:
         builder.region_relay_groups(True)
     return builder.build()

@@ -1,7 +1,7 @@
 """The documented counter/metric namespace, as data.
 
 ``counter-name-registry`` checks every *string-literal* metric name passed
-to the metric helpers (``MetricsRegistry.counter/gauge/histogram/timeseries``
+to the metric helpers (``MetricsRegistry.counter/gauge/histogram``
 and ``Replica.count``) against this registry.  A typo'd counter silently
 records to a fresh, never-read name -- the regression it causes (a benchmark
 column flatlining at zero, a test asserting on nothing) is invisible at run
@@ -119,7 +119,6 @@ METRIC_NAMES: FrozenSet[str] = frozenset(
         "faults.sluggish_changes",
         # --- workload clients (workload/client.py)
         "client.latency",
-        "client.completions",
         # --- leader-side batching (protocol/base.py, build_batch_metrics)
         "batch.flush.size",
         "batch.flush.delay",

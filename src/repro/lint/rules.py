@@ -709,7 +709,7 @@ class CounterNameRegistry(Rule):
     )
     hint = "fix the typo, or add the new counter to repro/lint/counters.py"
 
-    _REGISTRY_HELPERS = {"counter", "gauge", "histogram", "timeseries"}
+    _REGISTRY_HELPERS = {"counter", "gauge", "histogram"}
 
     def visit_Call(self, node: ast.Call, ctx: FileContext) -> None:
         func = node.func

@@ -31,7 +31,6 @@ from repro.checkers.history import History, HistoryRecorder
 from repro.checkers.invariants import Violation, run_epaxos_checks, run_log_checks
 from repro.checkers.linearizability import check_linearizability
 from repro.cluster.builder import Cluster, ClusterBuilder
-from repro.cluster.faults import FaultEvent, FaultKind
 from repro.cluster.topologies import planet_topology, wan_topology
 from repro.errors import ReproError
 from repro.protocol.config import ProtocolConfig
@@ -45,7 +44,7 @@ class ScenarioResult:
 
     scenario: Scenario
     cluster: Cluster
-    history: History
+    history: History  # empty when the scenario runs no checks
     violations: List[Violation]
     completed_requests: int
     events_processed: int
@@ -98,7 +97,8 @@ class ScenarioRunner:
 
     def __init__(self, scenario: Scenario) -> None:
         self.scenario = scenario
-        self._recorder = HistoryRecorder()
+        # A run with no checkers (a benchmark point) keeps no history.
+        self._recorder = HistoryRecorder() if scenario.checks else None
 
     # ------------------------------------------------------------------ build
     def build(self) -> Cluster:
@@ -159,7 +159,7 @@ class ScenarioRunner:
                 )
             )
 
-        history = self._recorder.history()
+        history = self._recorder.history() if self._recorder is not None else History([])
         if "log_invariants" in self.scenario.checks:
             violations.extend(self._grouped_checks(cluster, run_log_checks))
         if "epaxos_invariants" in self.scenario.checks:
@@ -213,38 +213,29 @@ class ScenarioRunner:
         return violations
 
     # ------------------------------------------------------------------ events
-    #: Static actions map 1:1 onto the cluster's own fault dispatcher.
-    _STATIC_FAULT_KINDS = {
-        "crash": FaultKind.CRASH,
-        "recover": FaultKind.RECOVER,
-        "sluggish": FaultKind.SLUGGISH,
-        "sever_link": FaultKind.SEVER_LINK,
-        "heal_link": FaultKind.HEAL_LINK,
-        "partition": FaultKind.PARTITION,
-        "heal_partition": FaultKind.HEAL_PARTITION,
-    }
-
     def _fire(self, cluster: Cluster, event: ScenarioEvent, fired: List[str]) -> None:
         """Apply one scheduled event, resolving dynamic targets now.
 
-        Static faults are translated to :class:`FaultEvent` and routed
-        through :meth:`Cluster.apply_fault` so there is exactly one fault
-        dispatch path; only the dynamic actions live here.
+        The single place a scripted fault touches the cluster: static
+        actions name their target in the event, dynamic ones resolve it
+        against the cluster's state at fire time.
         """
         action = event.action
         label = f"t={event.at:.3f} {action}"
-        kind = self._STATIC_FAULT_KINDS.get(action)
-        if kind is not None:
-            cluster.apply_fault(
-                FaultEvent(
-                    at=event.at,
-                    kind=kind,
-                    node=event.node,
-                    peer=event.peer,
-                    factor=event.factor,
-                    groups=event.groups,
-                )
-            )
+        if action == "crash":
+            cluster.crash_node(event.node)
+        elif action == "recover":
+            cluster.recover_node(event.node)
+        elif action == "sluggish":
+            cluster.nodes[event.node].set_sluggish(event.factor)
+        elif action == "sever_link":
+            cluster.network.faults.sever_link(event.node, event.peer)
+        elif action == "heal_link":
+            cluster.network.faults.heal_link(event.node, event.peer)
+        elif action == "partition":
+            cluster.network.faults.partition(*event.groups)
+        elif action == "heal_partition":
+            cluster.network.faults.heal_partition()
         elif action == "crash_leader":
             leader = cluster.leader_id()
             if leader is None:

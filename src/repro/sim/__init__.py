@@ -16,7 +16,6 @@ from repro.sim.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    TimeSeries,
 )
 
 __all__ = [
@@ -29,5 +28,4 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "TimeSeries",
 ]

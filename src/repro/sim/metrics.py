@@ -1,9 +1,9 @@
 """Lightweight metrics used by the simulator, nodes, protocols and clients.
 
 The registry deliberately mirrors what the Paxi benchmark records: message
-counters per node, latency histograms per client, and throughput time-series
-sampled over fixed intervals (the paper's Figure 13 samples throughput over
-one-second windows).
+counters per node and latency histograms per client.  Throughput over time
+(the paper's Figure 13) is computed after a run from the clients' completion
+records (``repro.bench.completion_rates``).
 """
 
 from __future__ import annotations
@@ -142,41 +142,8 @@ class Histogram:
         }
 
 
-class TimeSeries:
-    """Event counts bucketed into fixed-width windows of virtual time."""
-
-    __slots__ = ("name", "interval", "_buckets")
-
-    def __init__(self, name: str, interval: float = 1.0) -> None:
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        self.name = name
-        self.interval = interval
-        self._buckets: Dict[int, float] = {}
-
-    def record(self, time: float, amount: float = 1.0) -> None:
-        bucket = int(time // self.interval)
-        self._buckets[bucket] = self._buckets.get(bucket, 0.0) + amount
-
-    def series(self, start: float = 0.0, end: Optional[float] = None) -> List[Tuple[float, float]]:
-        """Return ``(window_start_time, count_per_window)`` pairs covering [start, end)."""
-        if not self._buckets and end is None:
-            return []
-        last_bucket = max(self._buckets) if self._buckets else 0
-        end_bucket = int(end // self.interval) if end is not None else last_bucket + 1
-        start_bucket = int(start // self.interval)
-        return [
-            (bucket * self.interval, self._buckets.get(bucket, 0.0))
-            for bucket in range(start_bucket, end_bucket)
-        ]
-
-    def rates(self, start: float = 0.0, end: Optional[float] = None) -> List[Tuple[float, float]]:
-        """Like :meth:`series`, but values are per-second rates."""
-        return [(t, count / self.interval) for t, count in self.series(start, end)]
-
-
 class MetricsRegistry:
-    """A named collection of counters, gauges, histograms and time-series.
+    """A named collection of counters, gauges and histograms.
 
     The getters are single-dict-lookup on the hit path: hot callers cache the
     returned metric object, but enough call sites resolve by name per event
@@ -184,14 +151,13 @@ class MetricsRegistry:
     must stay cheap.
     """
 
-    __slots__ = ("_clock", "_counters", "_gauges", "_histograms", "_series")
+    __slots__ = ("_clock", "_counters", "_gauges", "_histograms")
 
     def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         self._clock = clock or (lambda: 0.0)
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._series: Dict[str, TimeSeries] = {}
 
     @property
     def now(self) -> float:
@@ -214,12 +180,6 @@ class MetricsRegistry:
         if histogram is None:
             histogram = self._histograms[name] = Histogram(name)
         return histogram
-
-    def timeseries(self, name: str, interval: float = 1.0) -> TimeSeries:
-        series = self._series.get(name)
-        if series is None:
-            series = self._series[name] = TimeSeries(name, interval)
-        return series
 
     def counters(self) -> Dict[str, float]:
         return {name: c.value for name, c in sorted(self._counters.items())}

@@ -1,4 +1,4 @@
-"""Replicated state machine substrate: commands, key-value store, log, snapshots.
+"""Replicated state machine substrate: commands, key-value store, log, sessions.
 
 This is the in-memory key-value store that the Paxi benchmark (and therefore
 the paper's evaluation) replicates.  All three protocols (Multi-Paxos,
@@ -10,7 +10,6 @@ from repro.statemachine.command import Command, CommandResult, OpType
 from repro.statemachine.kvstore import KVStore
 from repro.statemachine.log import LogEntry, ReplicatedLog
 from repro.statemachine.sessions import ClientSessionCache
-from repro.statemachine.snapshot import Snapshot
 
 __all__ = [
     "ClientSessionCache",
@@ -20,5 +19,4 @@ __all__ = [
     "KVStore",
     "LogEntry",
     "ReplicatedLog",
-    "Snapshot",
 ]

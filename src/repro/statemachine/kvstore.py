@@ -60,10 +60,5 @@ class KVStore:
         return CommandResult(command_uid=command.uid, success=False)
 
     def items(self) -> Dict[str, str]:
-        """Copy of the current contents (used by snapshots and tests)."""
+        """Copy of the current contents (used by tests)."""
         return dict(self._data)
-
-    def restore(self, data: Dict[str, str], applied_count: int = 0) -> None:
-        """Replace contents from a snapshot."""
-        self._data = dict(data)
-        self._applied_count = applied_count

@@ -232,7 +232,6 @@ class ClosedLoopClient(_BaseClient):
         self._record_complete(reply)
         self._note_leader_hint(reply)
         self._sim.metrics.histogram("client.latency").observe(latency)
-        self._sim.metrics.timeseries("client.completions", interval=1.0).record(self._sim.now)
         self._issue_next()
 
     def _on_timeout(self, request_id: int, request: ClientRequest) -> None:
@@ -324,4 +323,3 @@ class OpenLoopClient(_BaseClient):
         self._record_complete(reply)
         self._note_leader_hint(reply)
         self._sim.metrics.histogram("client.latency").observe(latency)
-        self._sim.metrics.timeseries("client.completions", interval=1.0).record(self._sim.now)

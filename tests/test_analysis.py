@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.advisor import recommend_relay_groups
 from repro.analysis.model import (
     follower_load_limit,
     leader_overhead,
@@ -96,23 +95,3 @@ class TestWANModel:
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ConfigurationError):
             wan_messages_per_write({"a": 3, "b": 1}, "a", "raft")
-
-
-class TestAdvisor:
-    def test_lan_default_recommends_two_groups(self):
-        rec = recommend_relay_groups(25)
-        assert rec.num_groups == 2
-        assert rec.messages_at_leader == 6
-
-    def test_latency_sensitive_recommends_three(self):
-        assert recommend_relay_groups(25, latency_sensitive=True).num_groups == 3
-
-    def test_wan_recommends_one_group_per_region(self):
-        assert recommend_relay_groups(15, num_regions=3).num_groups == 3
-
-    def test_small_cluster_capped(self):
-        assert recommend_relay_groups(3).num_groups == 2
-
-    def test_too_small_cluster_rejected(self):
-        with pytest.raises(ConfigurationError):
-            recommend_relay_groups(2)

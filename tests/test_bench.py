@@ -1,4 +1,4 @@
-"""Tests for the benchmark harness: results, runner, sweeps, time-series, plots."""
+"""Tests for the benchmark harness: results, measurement windows, sweeps, rates, plots."""
 
 from __future__ import annotations
 
@@ -6,13 +6,18 @@ import json
 
 import pytest
 
+from repro.bench import completion_rates, latency_throughput_sweep, measure
+from repro.bench.measurement import COOLDOWN
 from repro.bench.plots import ascii_chart, format_table
 from repro.bench.results import RunResult, SweepResult
-from repro.bench.runner import ExperimentConfig, run_experiment
-from repro.bench.sweeps import latency_throughput_sweep, max_throughput
-from repro.bench.timeseries import steady_state_rate, throughput_timeseries
-from repro.cluster.faults import FaultSchedule
 from repro.errors import BenchmarkError
+from repro.scenarios import Scenario, ScenarioEvent, run_scenario
+from repro.workload.spec import WorkloadSpec
+
+
+def _point(workload: WorkloadSpec, **fields) -> Scenario:
+    """A benchmark point: no checkers, only the measurement matters."""
+    return Scenario(name="bench-point", workload=workload, checks=(), **fields)
 
 
 def _result(throughput: float, latency: float = 0.002, clients: int = 10) -> RunResult:
@@ -64,72 +69,121 @@ class TestResults:
             sweep.latency_throughput_series(percentile="p75")
 
 
-class TestRunner:
-    def test_run_experiment_produces_throughput_and_latency(self, tiny_workload):
-        config = ExperimentConfig(protocol="paxos", num_nodes=3, num_clients=4,
-                                  duration=0.4, warmup=0.1, workload=tiny_workload, seed=2)
-        result = run_experiment(config)
+class TestMeasure:
+    def test_measure_produces_throughput_and_latency(self, tiny_workload):
+        point = _point(tiny_workload, protocol="paxos", num_nodes=3, num_clients=4,
+                       duration=0.4, seed=2)
+        result = measure(run_scenario(point), warmup=0.1)
         assert result.completed_requests > 0
         assert result.throughput > 0
         assert 0 < result.latency_mean < 0.1
         assert result.latency_p99 >= result.latency_p50
 
-    def test_invalid_window_rejected(self):
-        config = ExperimentConfig(duration=0.2, warmup=0.2)
+    def test_invalid_window_rejected(self, tiny_workload):
+        point = _point(tiny_workload, protocol="paxos", num_nodes=3, num_clients=1,
+                       duration=0.2, seed=2)
         with pytest.raises(BenchmarkError):
-            run_experiment(config)
+            measure(run_scenario(point), warmup=0.2)
+
+    def test_window_ends_a_cooldown_before_the_run(self, tiny_workload):
+        point = _point(tiny_workload, protocol="paxos", num_nodes=3, num_clients=4,
+                       duration=0.4, seed=2)
+        result = run_scenario(point)
+        measured = measure(result, warmup=0.1)
+        assert measured.measured_window == 0.4 - COOLDOWN - 0.1
+        after_warmup = sum(len(client.stats.latencies(0.1)) for client in result.cluster.clients)
+        assert 0 < measured.completed_requests < after_warmup
 
     def test_relay_groups_recorded_in_extra(self, tiny_workload):
-        config = ExperimentConfig(protocol="pigpaxos", num_nodes=5, num_clients=2,
-                                  relay_groups=2, duration=0.4, warmup=0.1,
-                                  workload=tiny_workload, seed=2)
-        result = run_experiment(config)
+        point = _point(tiny_workload, protocol="pigpaxos", num_nodes=5, num_clients=2,
+                       relay_groups=2, duration=0.4, seed=2)
+        result = measure(run_scenario(point), warmup=0.1)
         assert result.extra["relay_groups"] == 2
 
     def test_same_seed_reproducible(self, tiny_workload):
-        config = ExperimentConfig(protocol="pigpaxos", num_nodes=5, num_clients=3,
-                                  relay_groups=2, duration=0.4, warmup=0.1,
-                                  workload=tiny_workload, seed=7)
-        assert run_experiment(config).throughput == run_experiment(config).throughput
+        point = _point(tiny_workload, protocol="pigpaxos", num_nodes=5, num_clients=3,
+                       relay_groups=2, duration=0.4, seed=7)
+        first = measure(run_scenario(point), warmup=0.1)
+        assert first.throughput == measure(run_scenario(point), warmup=0.1).throughput
 
-    def test_fault_schedule_flows_through(self, tiny_workload):
-        schedule = FaultSchedule().crash(2, at=0.1)
-        config = ExperimentConfig(protocol="paxos", num_nodes=3, num_clients=2,
-                                  duration=0.4, warmup=0.1, workload=tiny_workload,
-                                  fault_schedule=schedule, seed=2)
-        result = run_experiment(config)
+    def test_fault_events_flow_through(self, tiny_workload):
+        point = _point(tiny_workload, protocol="paxos", num_nodes=3, num_clients=2,
+                       duration=0.4, seed=2, events=(ScenarioEvent.crash(0.1, 2),))
+        result = measure(run_scenario(point), warmup=0.1)
         assert result.completed_requests > 0  # majority still alive
+
+    def test_point_without_checks_records_no_history(self, tiny_workload):
+        point = _point(tiny_workload, protocol="paxos", num_nodes=3, num_clients=2,
+                       duration=0.2, seed=2)
+        result = run_scenario(point)
+        assert result.completed_requests > 0
+        assert len(result.history) == 0
+
+    def test_reproduces_the_retired_experiment_runner(self):
+        # Recorded from the experiment runner this measurement window
+        # replaced, on the same point: 5-node PigPaxos, 2 relay groups,
+        # 10 clients, the paper's workload, seed 2, window [0.1, 0.35].
+        point = _point(WorkloadSpec.paper_default(), protocol="pigpaxos", num_nodes=5,
+                       num_clients=10, relay_groups=2, duration=0.4, seed=2)
+        result = measure(run_scenario(point), warmup=0.1)
+        assert result.completed_requests == 1367
+        assert result.throughput == 5468.0
+        assert result.latency_p50 == 0.0018243468854843292
+        assert result.latency_p99 == 0.0021257536498012087
 
 
 class TestSweeps:
     def test_latency_throughput_sweep_runs_each_point(self, tiny_workload):
-        config = ExperimentConfig(protocol="paxos", num_nodes=3, duration=0.3, warmup=0.1,
-                                  workload=tiny_workload, seed=2)
-        sweep = latency_throughput_sweep(config, client_counts=[1, 2, 4])
+        point = _point(tiny_workload, protocol="paxos", num_nodes=3, duration=0.3, seed=2)
+        sweep = latency_throughput_sweep(point, [1, 2, 4], warmup=0.1)
         assert len(sweep) == 3
         assert [run.num_clients for run in sweep] == [1, 2, 4]
 
     def test_throughput_grows_then_saturates(self, tiny_workload):
-        config = ExperimentConfig(protocol="paxos", num_nodes=3, duration=0.3, warmup=0.1,
-                                  workload=tiny_workload, seed=2)
-        sweep = latency_throughput_sweep(config, client_counts=[1, 8])
+        point = _point(tiny_workload, protocol="paxos", num_nodes=3, duration=0.3, seed=2)
+        sweep = latency_throughput_sweep(point, [1, 8], warmup=0.1)
         assert sweep.runs[1].throughput > sweep.runs[0].throughput
 
-    def test_max_throughput_returns_best(self, tiny_workload):
-        config = ExperimentConfig(protocol="paxos", num_nodes=3, duration=0.3, warmup=0.1,
-                                  workload=tiny_workload, seed=2)
-        best, sweep = max_throughput(config, client_counts=[1, 4, 8])
-        assert best.throughput == sweep.max_throughput()
+    def test_best_run_is_the_maximum_throughput(self, tiny_workload):
+        point = _point(tiny_workload, protocol="paxos", num_nodes=3, duration=0.3, seed=2)
+        sweep = latency_throughput_sweep(point, [1, 4, 8], warmup=0.1)
+        assert sweep.best_run().throughput == sweep.max_throughput()
 
 
-class TestTimeseries:
-    def test_throughput_timeseries_covers_run(self, tiny_workload):
-        config = ExperimentConfig(protocol="paxos", num_nodes=3, num_clients=4,
-                                  duration=1.0, warmup=0.1, workload=tiny_workload, seed=2)
-        series, cluster = throughput_timeseries(config, interval=0.25)
+class TestCompletionRates:
+    def test_completion_rates_cover_run(self, tiny_workload):
+        point = _point(tiny_workload, protocol="paxos", num_nodes=3, num_clients=4,
+                       duration=1.0, seed=2)
+        result = run_scenario(point)
+        series = completion_rates(result, interval=0.25)
         assert len(series) == 4
-        assert sum(rate * 0.25 for _, rate in series) == cluster.total_completed_requests()
-        assert steady_state_rate(series, skip=1) > 0
+        assert sum(rate * 0.25 for _, rate in series) == result.completed_requests
+        assert sum(rate for _, rate in series[1:]) > 0
+
+    def test_crash_window_rates_match_the_retired_time_series(self):
+        # Recorded from the per-completion ``client.completions`` time
+        # series the clients used to keep, registered before the run at a
+        # 0.1 s interval: 9-node PigPaxos, 3 relay groups, node 4 down
+        # over [0.3, 0.6).
+        point = _point(WorkloadSpec.paper_default(), protocol="pigpaxos", num_nodes=9,
+                       num_clients=10, relay_groups=3, duration=1.0, seed=21,
+                       events=(ScenarioEvent.crash(0.3, 4), ScenarioEvent.recover(0.6, 4)))
+        recorded = [2440.0, 5080.0, 5100.0, 5000.0, 4900.0, 4900.0, 5200.0, 5100.0, 5100.0]
+        assert completion_rates(run_scenario(point), interval=0.1) == [
+            (window * 0.1, rate) for window, rate in enumerate(recorded)
+        ]
+
+    def test_trailing_partial_window_dropped(self, tiny_workload):
+        point = _point(tiny_workload, protocol="paxos", num_nodes=3, num_clients=2,
+                       duration=1.0, seed=2)
+        series = completion_rates(run_scenario(point), interval=0.3)
+        assert [start for start, _ in series] == pytest.approx([0.0, 0.3, 0.6])
+
+    def test_non_positive_interval_rejected(self, tiny_workload):
+        point = _point(tiny_workload, protocol="paxos", num_nodes=3, num_clients=1,
+                       duration=0.2, seed=2)
+        with pytest.raises(BenchmarkError):
+            completion_rates(run_scenario(point), interval=0.0)
 
 
 class TestPlots:

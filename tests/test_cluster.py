@@ -1,4 +1,4 @@
-"""Unit tests for the node CPU model, SimNode, topologies, faults and builder."""
+"""Unit tests for the node CPU model, SimNode, topologies, scripted faults and builder."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 
 from repro.cluster.builder import ClusterBuilder, build_cluster
 from repro.cluster.cpu import NodeCPUModel
-from repro.cluster.faults import FaultKind, FaultSchedule
 from repro.cluster.node import SimNode
 from repro.cluster.topologies import lan_topology, paper_wan_regions, wan_topology
 from repro.errors import ConfigurationError
@@ -17,6 +16,7 @@ from repro.net.network import SimNetwork
 from repro.overlay.relay import RelayFanout
 from repro.protocol.base import Replica
 from repro.protocol.config import ProtocolConfig
+from repro.scenarios import Scenario, ScenarioEvent, run_scenario
 from repro.sim.engine import Simulator
 
 
@@ -158,29 +158,83 @@ class TestTopologies:
             wan_topology()
 
 
-class TestFaultSchedule:
-    def test_crash_window_produces_two_events(self):
-        schedule = FaultSchedule().crash_window(3, 1.0, 2.0)
-        kinds = [event.kind for event in schedule]
-        assert kinds == [FaultKind.CRASH, FaultKind.RECOVER]
+class TestScriptedFaults:
+    """Timed faults are ``ScenarioEvent``s, fired by the scenario runner."""
 
-    def test_invalid_window_rejected(self):
+    @staticmethod
+    def _run(*events, duration=0.4):
+        return run_scenario(Scenario(name="scripted-faults", protocol="paxos", num_nodes=5,
+                                     num_clients=1, seed=1, duration=duration,
+                                     events=events, checks=()))
+
+    def test_crash_window_is_a_crash_then_a_recover(self):
+        result = self._run(ScenarioEvent.crash(0.1, 3), ScenarioEvent.recover(0.2, 3))
+        actions = [label.split()[1] for label in result.events_fired]
+        assert actions == ["crash", "recover"]
+        assert not result.cluster.nodes[3].crashed
+
+    def test_event_after_the_run_rejected(self):
         with pytest.raises(ConfigurationError):
-            FaultSchedule().crash_window(3, 2.0, 1.0)
+            Scenario(name="late-recover", duration=1.0,
+                     events=(ScenarioEvent.crash(0.5, 3), ScenarioEvent.recover(2.0, 3)))
 
-    def test_events_iterate_in_time_order(self):
-        schedule = FaultSchedule().recover(1, at=5.0).crash(1, at=1.0)
-        times = [event.at for event in schedule]
-        assert times == [1.0, 5.0]
+    def test_events_fire_in_time_order(self):
+        result = self._run(ScenarioEvent.recover(0.3, 1), ScenarioEvent.crash(0.1, 1))
+        times = [label.split()[0] for label in result.events_fired]
+        assert times == ["t=0.100", "t=0.300"]
 
-    def test_sluggish_with_until_restores(self):
-        schedule = FaultSchedule().sluggish(2, at=1.0, factor=4.0, until=2.0)
-        events = list(schedule)
-        assert events[0].factor == 4.0 and events[1].factor == 1.0
+    def test_sluggish_factor_one_restores(self):
+        result = self._run(ScenarioEvent.sluggish(0.1, 2, 4.0), ScenarioEvent.sluggish(0.2, 2, 1.0))
+        nodes = result.cluster.nodes
+        assert nodes[2].metrics.counter("faults.sluggish_changes").value == 2
+        # Once restored, node 2 charges work at the cost of a never-slowed peer.
+        charged = []
+        for node in (nodes[2], nodes[3]):
+            before = node.busy_time_total
+            node.charge_seconds(0.001)
+            charged.append(node.busy_time_total - before)
+        assert charged[0] == pytest.approx(charged[1])
 
     def test_negative_time_rejected(self):
         with pytest.raises(ConfigurationError):
-            FaultSchedule().crash(0, at=-1.0)
+            ScenarioEvent.crash(-1.0, 0)
+
+    def test_fault_applied_during_run(self):
+        result = self._run(ScenarioEvent.crash(0.1, 4), duration=0.2)
+        assert result.cluster.nodes[4].crashed
+
+    def test_sever_link_applied_during_run(self):
+        result = self._run(ScenarioEvent.sever_link(0.1, 1, 2), duration=0.2)
+        assert result.cluster.network.faults.link_severed(2, 1)
+
+    def test_heal_link_restores_a_severed_link(self):
+        result = self._run(ScenarioEvent.sever_link(0.1, 1, 2), ScenarioEvent.heal_link(0.2, 1, 2))
+        assert not result.cluster.network.faults.link_severed(1, 2)
+        assert not result.cluster.network.faults.lossy
+
+    def test_partition_then_heal_partition(self):
+        events = (ScenarioEvent.partition(0.1, (3, 4), (0, 1, 2)),)
+        faults = self._run(*events, duration=0.2).cluster.network.faults
+        assert faults.partitioned(3, 0) and not faults.partitioned(3, 4)
+        healed = self._run(*events, ScenarioEvent.heal_partition(0.2)).cluster.network.faults
+        assert not healed.partitioned(3, 0)
+
+    def test_set_drop_and_duplicate_storm_rewrite_network_probabilities(self):
+        result = self._run(ScenarioEvent.set_drop(0.1, probability=0.25),
+                           ScenarioEvent.duplicate_storm(0.1, probability=0.5))
+        faults = result.cluster.network.faults
+        assert faults.drop_probability == 0.25
+        assert faults.duplicate_probability == 0.5
+
+    def test_crash_leader_resolves_the_leader_at_fire_time(self):
+        result = self._run(ScenarioEvent.crash_leader(0.2), duration=0.3)
+        assert result.events_fired == ["t=0.200 crash_leader (node 0)"]
+        assert result.cluster.nodes[0].crashed
+
+    def test_recover_all_recovers_every_crashed_node(self):
+        result = self._run(ScenarioEvent.crash(0.1, 3), ScenarioEvent.crash(0.1, 4),
+                           ScenarioEvent.recover_all(0.2))
+        assert not any(node.crashed for node in result.cluster.nodes.values())
 
 
 class TestBuilder:
@@ -211,13 +265,6 @@ class TestBuilder:
     def test_paxos_clients_target_leader(self):
         cluster = build_cluster(protocol="paxos", num_nodes=3, num_clients=2, seed=1)
         assert all(client._target_policy == "leader" for client in cluster.clients)
-
-    def test_fault_schedule_applied_during_run(self):
-        schedule = FaultSchedule().crash(4, at=0.1)
-        cluster = build_cluster(protocol="paxos", num_nodes=5, num_clients=1, seed=1,
-                                fault_schedule=schedule)
-        cluster.run(0.2)
-        assert cluster.nodes[4].crashed
 
     def test_cluster_run_is_repeatable_for_same_seed(self):
         first = build_cluster(protocol="paxos", num_nodes=5, num_clients=5, seed=9)

@@ -1,10 +1,10 @@
-"""Unit tests for counters, gauges, histograms, time-series and the registry."""
+"""Unit tests for counters, gauges, histograms and the registry."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim.metrics import Counter, Gauge, Histogram, MetricsRegistry, TimeSeries
+from repro.sim.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 
 class TestCounter:
@@ -80,40 +80,11 @@ class TestHistogram:
         assert set(snapshot) == {"count", "mean", "min", "max", "p50", "p90", "p99"}
 
 
-class TestTimeSeries:
-    def test_records_bucketed_by_interval(self):
-        series = TimeSeries("t", interval=1.0)
-        series.record(0.5)
-        series.record(0.9)
-        series.record(1.1)
-        values = dict(series.series(0.0, 2.0))
-        assert values[0.0] == 2.0
-        assert values[1.0] == 1.0
-
-    def test_rates_divide_by_interval(self):
-        series = TimeSeries("t", interval=0.5)
-        series.record(0.1)
-        series.record(0.2)
-        rates = dict(series.rates(0.0, 0.5))
-        assert rates[0.0] == pytest.approx(4.0)
-
-    def test_missing_buckets_are_zero(self):
-        series = TimeSeries("t", interval=1.0)
-        series.record(2.5)
-        values = dict(series.series(0.0, 3.0))
-        assert values[0.0] == 0.0 and values[1.0] == 0.0 and values[2.0] == 1.0
-
-    def test_invalid_interval_rejected(self):
-        with pytest.raises(ValueError):
-            TimeSeries("t", interval=0.0)
-
-
 class TestRegistry:
     def test_named_metrics_are_cached(self):
         registry = MetricsRegistry()
         assert registry.counter("a") is registry.counter("a")
         assert registry.histogram("h") is registry.histogram("h")
-        assert registry.timeseries("t") is registry.timeseries("t")
         assert registry.gauge("g") is registry.gauge("g")
 
     def test_snapshot_contains_all_sections(self):
