@@ -9,7 +9,9 @@ gates on) and reports, per scenario and in aggregate:
 
 * **wall seconds** -- build + simulate + safety checkers,
 * **events/sec**   -- simulator events executed per wall second,
-* **ops/sec**      -- completed client operations per wall second.
+* **ops/sec**      -- completed client operations per wall second,
+* **check seconds** -- report-only: one extra call of each checker family
+  (log invariants, EPaxos invariants, linearizability) on the finished run.
 
 The recorded *pre-optimization baseline* (commit e5b611d, the tree just
 before the hot-path overhaul, measured on the same workload with the same
@@ -39,6 +41,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.checkers import (  # noqa: E402
+    check_linearizability,
+    run_epaxos_checks,
+    run_log_checks,
+)
 from repro.scenarios.library import SMOKE_SCENARIOS, all_scenarios  # noqa: E402
 from repro.scenarios.runner import ScenarioRunner  # noqa: E402
 from repro.scenarios.sweep import default_workers, sweep  # noqa: E402
@@ -90,6 +97,28 @@ BASELINE = {
 DEFAULT_OUT = Path(__file__).resolve().parent / "results" / "BENCH_perf.json"
 
 
+def check_seconds(result):
+    """Wall seconds of one more call of each checker family on ``result``.
+
+    Each family runs once per consensus group, as the scenario runner
+    applies it, on a collected heap.  Report only: nothing gates on it.
+    """
+    cluster = result.cluster
+    groups = [cluster] if cluster.num_shards == 1 else list(cluster.shard_views())
+    families = {
+        "log": lambda: [run_log_checks(group) for group in groups],
+        "epaxos": lambda: [run_epaxos_checks(group) for group in groups],
+        "linearizability": lambda: check_linearizability(result.history),
+    }
+    seconds = {}
+    for family, call in families.items():
+        gc.collect()
+        start = time.perf_counter()
+        call()
+        seconds[family] = round(time.perf_counter() - start, 4)
+    return seconds
+
+
 def run_sweep(names):
     """Run the scenarios; return (per-scenario dict, divergent-fingerprint list)."""
     scenarios = all_scenarios()
@@ -113,6 +142,7 @@ def run_sweep(names):
             "ops_per_sec": round(result.completed_requests / wall, 1),
             "ok": result.ok,
             "fingerprint": fingerprint,
+            "check_seconds": check_seconds(result),
         }
         speed = ""
         if baseline is not None:

@@ -15,7 +15,8 @@ this package:
   never running ahead of commitment, and quorum-size sanity.  Plus the
   EPaxos family: cross-replica agreement on each committed instance's
   ``(seq, deps, command)``, dependency-respecting local execution order,
-  and per-key cross-replica execution consistency.
+  per-key cross-replica execution consistency, and a dependency path
+  between every two executed instances of one key (conflict ordering).
 
 Checkers never mutate the cluster; each returns a list of
 :class:`~repro.checkers.invariants.Violation` records (empty means the

@@ -47,24 +47,15 @@ class ShardGroupView:
 
     Exposes exactly the surface the invariant checkers consume from
     :class:`Cluster`: a ``nodes`` mapping (insertion-ordered by ascending
-    member endpoint id) whose values carry ``.replica`` and ``.crashed``,
-    plus :meth:`committed_prefixes`.  Each shard's group is checked in
-    isolation -- cross-shard consistency is the per-key linearizability
-    checker's job, which needs no adapter because keys never span shards.
+    member endpoint id) whose values carry ``.replica`` and ``.crashed``.
+    Each shard's group is checked in isolation -- cross-shard consistency
+    is the per-key linearizability checker's job, which needs no adapter
+    because keys never span shards.
     """
 
     def __init__(self, shard: int, nodes: Dict[int, object]) -> None:
         self.shard = shard
         self.nodes = nodes
-
-    def committed_prefixes(self) -> Dict[int, List[Optional[int]]]:
-        prefixes: Dict[int, List[Optional[int]]] = {}
-        # lint: ok(no-unordered-iteration) nodes insertion order is ascending member endpoint id (built from sorted topology.node_ids)
-        for node_id, node in self.nodes.items():
-            log = getattr(node.replica, "log", None)
-            if log is not None:
-                prefixes[node_id] = log.committed_prefix_uids()
-        return prefixes
 
     def leader_id(self) -> Optional[int]:
         """Endpoint id of this group's current leader (Paxos family)."""
@@ -179,16 +170,6 @@ class Cluster:
         hosts: List[object] = list(self.nodes.values())
         hosts.extend(self.shard_instances)
         return hosts
-
-    def committed_prefixes(self) -> Dict[int, List[Optional[int]]]:
-        """Gap-free committed command uids per replica (agreement checks)."""
-        prefixes: Dict[int, List[Optional[int]]] = {}
-        # lint: ok(no-unordered-iteration) nodes insertion order is ascending node id (built from sorted topology.node_ids)
-        for node_id, node in self.nodes.items():
-            log = getattr(node.replica, "log", None)
-            if log is not None:
-                prefixes[node_id] = log.committed_prefix_uids()
-        return prefixes
 
     def logs_agree(self) -> bool:
         """True when every pair of replicas agrees on the common committed prefix."""

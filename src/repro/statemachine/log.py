@@ -161,14 +161,6 @@ class ReplicatedLog:
     def uncommitted_slots(self) -> List[int]:
         return [slot for slot, entry in sorted(self._entries.items()) if not entry.committed]
 
-    def committed_commands(self) -> List[object]:
-        """Commands of committed slots, in slot order (for agreement checks)."""
-        return [
-            self._entries[slot].command
-            for slot in sorted(self._entries)
-            if self._entries[slot].committed
-        ]
-
     def committed_prefix_uids(self) -> List[Optional[int]]:
         """uids of the gap-free committed prefix, used to compare replicas."""
         uids: List[Optional[int]] = []

@@ -18,12 +18,16 @@ the same per-scenario fingerprints as the serial path, in the same order.
 
 from __future__ import annotations
 
+import itertools
+import json
 import sys
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import repro.statemachine.command as command_module
 from repro.errors import ConfigurationError
 from repro.fuzz import (
     DEFAULT_PROFILE,
@@ -52,6 +56,9 @@ CALIBRATION_SEEDS = {
 }
 
 EPAXOS_PROFILE = replace(DEFAULT_PROFILE, protocols=("epaxos",))
+
+#: Every ``[checker, message]`` each calibration run reports, in order.
+CALIBRATION_VIOLATIONS = Path(__file__).with_name("calibration_violations.json")
 
 
 # ---------------------------------------------------------------- grammar
@@ -148,6 +155,20 @@ class TestMutations:
         )
         assert len(report.findings) == 1
         assert report.findings[0].checkers  # names the violated checkers
+
+    @pytest.mark.parametrize("name", sorted(MUTATIONS))
+    def test_calibration_violation_lists_are_pinned(self, name, monkeypatch):
+        """The checkers list exactly the recorded violations, in order.
+
+        Command uids are process-global and some messages quote them, so
+        the run starts the uid counter at 1, as a fresh process does.
+        """
+        monkeypatch.setattr(command_module, "_command_uids", itertools.count(1))
+        scenario = generate_scenario(CALIBRATION_SEEDS[name], EPAXOS_PROFILE)
+        with apply_mutation(name):
+            result = run_scenario(scenario)
+        expected = json.loads(CALIBRATION_VIOLATIONS.read_text())[name]
+        assert [[v.checker, v.message] for v in result.violations] == expected
 
 
 # ---------------------------------------------------------------- shrinker
